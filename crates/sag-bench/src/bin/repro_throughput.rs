@@ -1,7 +1,7 @@
 //! End-to-end throughput of the per-alert solve chain, written as the
 //! machine-readable `BENCH_1.json` so future PRs can track the trajectory:
-//! bulk alerts/sec, p50/p99 per-alert latency, simplex pivots per LP, the
-//! warm-start hit rate, the per-alert *decision* latency of the streaming
+//! bulk alerts/sec, p50/p99 per-alert latency, simplex pivots per LP and
+//! the warm-start hit rate of the simplex-LP oracle, the per-alert *decision* latency of the streaming
 //! `DaySession` ingest mode, and the warm-vs-cold speedup on the 5-type
 //! game — plus the blocked-kernel vs frozen-reference LP comparison at
 //! 28/64/128 types and the certified ε-approximate mode leg.
@@ -43,9 +43,12 @@ fn main() {
         "latency mean          : {:>10.1} us/alert",
         report.mean_micros
     );
-    println!("pivots per LP         : {:>10.3}", report.pivots_per_lp);
     println!(
-        "warm-start hit rate   : {:>9.1}%",
+        "pivots per LP         : {:>10.3} (simplex-LP oracle replay)",
+        report.pivots_per_lp
+    );
+    println!(
+        "warm-start hit rate   : {:>9.1}% (simplex-LP oracle replay)",
         report.warm_hit_rate * 100.0
     );
     println!(

@@ -1,8 +1,11 @@
 //! The scenario-registry benchmark behind `repro_scenarios` / `BENCH_2.json`.
 //!
 //! Replays every scenario registered in `sag-scenarios` through the engine's
-//! sharded batch driver and reports, per scenario: throughput, warm-start
-//! hit rate, simplex work, and the utility profile of the three strategies.
+//! sharded batch driver on the simplex-LP oracle
+//! ([`SolverBackendKind::SimplexLp`]: the rows report LP work, which the
+//! default sweep backend does not do) and reports, per scenario: throughput,
+//! warm-start hit rate, simplex work, and the utility profile of the three
+//! strategies.
 //! A sharding section times an identical multi-day batch at one shard
 //! vs. many, quantifying the multi-core scaling of `replay_sharded` (whose
 //! results are bitwise shard-count-independent, so the comparison is pure
@@ -18,9 +21,11 @@
 
 use crate::cluster::{cluster_scaling_report, ClusterScalingReport};
 use sag_core::engine::EngineBuilder;
+use sag_core::sse::SolverBackendKind;
 use sag_core::{CycleResult, Result};
 use sag_scenarios::{
-    find_scenario, registry, run_scenario_service, run_scenario_sized, Scenario, ScenarioRun,
+    find_scenario, registry, run_scenario_service, run_scenario_sized, run_scenario_sized_with,
+    Scenario, ScenarioRun,
 };
 use sag_service::{AuditService, DurabilityOptions, Request, Response, TenantId};
 use std::fmt::Write as _;
@@ -240,7 +245,7 @@ impl SuiteConfig {
 pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
     let mut scenarios = Vec::new();
     for scenario in registry() {
-        let run = run_scenario_sized(
+        let run = run_scenario_sized_with(
             scenario.as_ref(),
             config.seed,
             config.shards,
@@ -248,6 +253,7 @@ pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
                 .history_days
                 .unwrap_or_else(|| scenario.history_days()),
             config.test_days.unwrap_or_else(|| scenario.test_days()),
+            |engine| engine.backend = SolverBackendKind::SimplexLp,
         )?;
         scenarios.push(ScenarioReport::from_run(&run, scenario.description()));
     }
@@ -466,7 +472,7 @@ fn durability_report(scenario: &dyn Scenario, config: &SuiteConfig) -> Durabilit
 
     let builder = |history: Vec<sag_sim::DayLog>| {
         let mut engine_config = scenario.engine_config();
-        engine_config.backend = sag_core::sse::SolverBackendKind::Auto;
+        engine_config.backend = SolverBackendKind::Auto;
         AuditService::builder().workers(0).tenant_with_history(
             "durability-bench",
             EngineBuilder::from_config(engine_config),
@@ -616,6 +622,11 @@ pub fn render_suite_json(report: &ScenarioSuiteReport) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"scenario_registry_replay\",");
     let _ = writeln!(out, "  \"seed\": {},", report.seed);
+    let _ = writeln!(
+        out,
+        "  \"scenario_backend\": \"{}\",",
+        SolverBackendKind::SimplexLp.name()
+    );
     let _ = writeln!(out, "  \"scenarios\": [");
     let last = report.scenarios.len().saturating_sub(1);
     for (i, s) in report.scenarios.iter().enumerate() {

@@ -3,23 +3,28 @@
 //! Two modes over the same registered scenario workload:
 //!
 //! * **bulk** — replays the workload through the engine's sharded batch
-//!   driver and reports alerts per second, per-alert solve-latency
-//!   percentiles, simplex pivots per LP and the warm-start hit rate — plus a
-//!   direct warm-vs-cold comparison of the SSE solver on a 5-type game,
-//!   which is the headline speedup of the warm-start machinery;
+//!   driver on the scenario's own backend (the exact sweep by default) and
+//!   reports alerts per second and per-alert solve-latency percentiles;
+//! * **simplex oracle** — the solver-work counters need candidate LPs, so
+//!   the simplex pivots per LP and the warm-start hit rate come from the
+//!   pruned arm of the pruning comparison below, which replays the same
+//!   workload on [`SolverBackendKind::SimplexLp`] — plus a direct
+//!   warm-vs-cold comparison of the SSE solver on a 5-type game, the
+//!   headline speedup of the warm-start machinery;
 //! * **streaming** — feeds the same alerts one at a time through
 //!   [`sag_core::DaySession::push_alert`] (the production ingest shape) and
 //!   reports p50/p99 *decision* latency: the full per-alert cost of forecast
 //!   update, both worlds' SSE solves, the signaling scheme and the budget
 //!   charge.
 //!
-//! Two further legs ride along in the same report: the **LP kernel**
-//! comparison (cold candidate-LP solves through the blocked production
-//! kernel vs the frozen scalar reference at 28/64/128 types, objectives
-//! asserted bitwise equal) and the **ε-approximate mode** replay of the
-//! unregistered 128-type `global-mesh` game, which records how many
-//! candidate LPs the ε-widened Lagrangian bound retired and the certified
-//! utility-loss bound the engine surfaced for it.
+//! Two further legs ride along in the same report, both on the simplex
+//! oracle: the **LP kernel** comparison (cold candidate-LP solves through
+//! the blocked production kernel vs the frozen scalar reference at
+//! 28/64/128 types, objectives asserted bitwise equal) and the
+//! **ε-approximate mode** replay of the unregistered 128-type `global-mesh`
+//! game, which records how many candidate LPs the ε-widened Lagrangian
+//! bound retired and the certified utility-loss bound the engine surfaced
+//! for it.
 //!
 //! The workload comes from the `sag-scenarios` registry (default:
 //! `paper-baseline`), so this bench and `repro_scenarios` can never drift
@@ -29,7 +34,7 @@
 //! `repro_throughput` binary.
 
 use crate::setup;
-use sag_core::sse::{SseCache, SseSolver};
+use sag_core::sse::{SolverBackendKind, SseCache, SseSolver};
 use sag_core::CycleResult;
 use sag_lp::{LpProblem, ReferenceWorkspace, SimplexWorkspace};
 use sag_scenarios::library::GlobalMesh;
@@ -105,9 +110,10 @@ pub struct StreamingLatencyReport {
     pub mean_micros: f64,
 }
 
-/// The incremental-pruning comparison: the same workload replayed with the
-/// pruning layer on (the default) and off (every candidate LP solved).
-/// Results are bitwise identical between the arms; only the work differs.
+/// The incremental-pruning comparison: the same workload replayed on the
+/// simplex-LP backend with the pruning layer on (the default) and off
+/// (every candidate LP solved). Results are bitwise identical between the
+/// arms; only the work differs.
 #[derive(Debug, Clone, Copy)]
 pub struct PruningReport {
     /// Replay throughput with incremental pruning (the default engine).
@@ -122,6 +128,10 @@ pub struct PruningReport {
     pub lp_solves_per_solve_pruned: f64,
     /// Candidate LPs solved per SSE solve, exhaustive arm (≈ the type count).
     pub lp_solves_per_solve_exhaustive: f64,
+    /// Mean simplex pivots per candidate LP, pruned arm.
+    pub pivots_per_lp: f64,
+    /// Fraction of warm-start attempts that avoided a cold solve, pruned arm.
+    pub warm_hit_rate: f64,
 }
 
 /// One size point of the blocked-kernel vs frozen-reference comparison:
@@ -195,9 +205,11 @@ pub struct ThroughputReport {
     pub p99_micros: f64,
     /// Mean per-alert solve latency, microseconds.
     pub mean_micros: f64,
-    /// Mean simplex pivots per candidate LP across the replay.
+    /// Mean simplex pivots per candidate LP, from the simplex-LP replay of
+    /// the pruning comparison's pruned arm.
     pub pivots_per_lp: f64,
-    /// Fraction of warm-start attempts that avoided a cold solve.
+    /// Fraction of warm-start attempts that avoided a cold solve, from the
+    /// same simplex-LP replay.
     pub warm_hit_rate: f64,
     /// Per-alert decision latency of the same workload streamed through
     /// [`sag_core::DaySession::push_alert`].
@@ -376,6 +388,7 @@ pub fn epsilon_mode_experiment(
     test_days: u32,
 ) -> EpsilonModeReport {
     let run = run_scenario_sized_with(&GlobalMesh, seed, 1, history_days, test_days, |engine| {
+        engine.backend = SolverBackendKind::SimplexLp;
         engine.epsilon = epsilon;
     })
     .expect("global-mesh replay succeeds");
@@ -401,10 +414,10 @@ pub fn epsilon_mode_experiment(
     }
 }
 
-/// Replay the configured workload twice — incremental pruning on, then off
-/// — and compare throughput and solver work. Results of the two arms are
-/// bitwise identical (enforced by the `sag-scenarios` equivalence tests);
-/// this measures only the work saved.
+/// Replay the configured workload twice on the simplex-LP backend —
+/// incremental pruning on, then off — and compare throughput and solver
+/// work. Results of the two arms are bitwise identical (enforced by the
+/// `sag-scenarios` equivalence tests); this measures only the work saved.
 ///
 /// # Panics
 ///
@@ -428,7 +441,10 @@ pub fn pruning_experiment(config: &ThroughputConfig) -> PruningReport {
                 1,
                 history_days,
                 test_days,
-                |engine| engine.pruning = pruning,
+                |engine| {
+                    engine.backend = SolverBackendKind::SimplexLp;
+                    engine.pruning = pruning;
+                },
             )
             .expect("scenario replay succeeds");
             let faster = slot
@@ -463,6 +479,8 @@ pub fn pruning_experiment(config: &ThroughputConfig) -> PruningReport {
             exhaustive_totals.lp_solves,
             exhaustive_totals.solves,
         ),
+        pivots_per_lp: pruned_totals.pivots_per_lp(),
+        warm_hit_rate: pruned_totals.warm_hit_rate(),
     }
 }
 
@@ -547,17 +565,6 @@ fn summarize(
         latencies.iter().map(|&v| v as f64).sum::<f64>() / alerts as f64
     };
 
-    let mut lp_solves = 0u64;
-    let mut pivots = 0u64;
-    let mut warm_attempts = 0u64;
-    let mut warm_hits = 0u64;
-    for c in cycles {
-        lp_solves += c.sse_totals.lp_solves;
-        pivots += c.sse_totals.pivots;
-        warm_attempts += c.sse_totals.warm_attempts;
-        warm_hits += c.sse_totals.warm_hits;
-    }
-
     ThroughputReport {
         alerts,
         wall_seconds,
@@ -569,16 +576,8 @@ fn summarize(
         p50_micros: percentile(0.50),
         p99_micros: percentile(0.99),
         mean_micros,
-        pivots_per_lp: if lp_solves == 0 {
-            0.0
-        } else {
-            pivots as f64 / lp_solves as f64
-        },
-        warm_hit_rate: if warm_attempts == 0 {
-            0.0
-        } else {
-            warm_hits as f64 / warm_attempts as f64
-        },
+        pivots_per_lp: pruning.pivots_per_lp,
+        warm_hit_rate: pruning.warm_hit_rate,
         streaming,
         warm_micros_5type,
         cold_micros_5type,
@@ -886,6 +885,8 @@ mod tests {
                 pruned_lp_fraction: 0.84,
                 lp_solves_per_solve_pruned: 1.1,
                 lp_solves_per_solve_exhaustive: 7.0,
+                pivots_per_lp: 1.25,
+                warm_hit_rate: 0.97,
             },
             lp_kernel: LpKernelReport {
                 sizes: [

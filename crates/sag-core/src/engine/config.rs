@@ -41,33 +41,38 @@ pub struct EngineConfig {
     /// the attacker's noisy Bayesian posterior. Must lie in `[0, 1]`.
     pub signal_noise: f64,
     /// Which [`crate::sse::SolverBackend`] every [`crate::engine::DaySession`]
-    /// solves through. The default, [`SolverBackendKind::Auto`], reproduces
-    /// the paper's dispatch (closed form for single-type games, the
-    /// warm-started multiple-LP method otherwise).
+    /// solves through. The default, [`SolverBackendKind::Auto`], is the
+    /// exact breakpoint sweep (the closed form for single-type games);
+    /// [`SolverBackendKind::SimplexLp`] is the paper's warm-started
+    /// multiple-LP method, kept as the oracle.
     pub backend: SolverBackendKind,
-    /// Whether cached SSE solves use incremental candidate pruning (skip
-    /// candidate LPs whose re-priced dual bound proves they cannot beat the
-    /// incumbent winner). `true` by default. The winner and its utilities
-    /// are identical either way — pruning only skips provably losing
-    /// candidates — and on every registered workload the full solution is
-    /// bitwise-identical too (see the invariant and its degenerate-LP
-    /// caveat in [`crate::sse`]); the switch exists for the equivalence
-    /// tests and benchmarks, not as a behavioural knob.
+    /// Whether the simplex-LP backend's cached solves use incremental
+    /// candidate pruning (skip candidate LPs whose re-priced dual bound
+    /// proves they cannot beat the incumbent winner). `true` by default.
+    /// The winner and its utilities are identical either way — pruning only
+    /// skips provably losing candidates — and on every registered workload
+    /// the full solution is bitwise-identical too (see the invariant and
+    /// its degenerate-LP caveat in [`crate::sse`]); the switch exists for
+    /// the equivalence tests and benchmarks, not as a behavioural knob. A
+    /// no-op on the sweep and closed-form backends, which solve no LPs.
     pub pruning: bool,
-    /// ε-approximate solve tolerance (auditor-utility units). With
-    /// `epsilon > 0.0` (and pruning on), cached SSE solves may also skip
-    /// candidate LPs whose certified re-priced bound exceeds the incumbent
-    /// by at most ε; the accumulated per-day utility-loss bound is surfaced
-    /// as [`crate::engine::CycleResult::certified_eps_loss`]. `0.0` (the
+    /// ε-approximate solve tolerance of the simplex-LP backend
+    /// (auditor-utility units). With `epsilon > 0.0` (and pruning on),
+    /// cached SSE solves may also skip candidate LPs whose certified
+    /// re-priced bound exceeds the incumbent by at most ε; the accumulated
+    /// per-day utility-loss bound is surfaced as
+    /// [`crate::engine::CycleResult::certified_eps_loss`]. `0.0` (the
     /// default) is the exact mode and is bitwise-identical to it — results
-    /// *and* work counters. Must be finite and nonnegative.
+    /// *and* work counters. A no-op on the sweep and closed-form backends:
+    /// they are exact, so they already meet any ε bound and certify a loss
+    /// of 0. Must be finite and nonnegative.
     pub epsilon: f64,
 }
 
 impl EngineConfig {
     /// The paper's configuration knobs on top of an explicit game: uniform
     /// forecast pooling, default rollback, expected-cost accounting, perfect
-    /// signal channel, automatic solver-backend dispatch.
+    /// signal channel, the exact sweep backend.
     #[must_use]
     pub fn paper_defaults(game: GameConfig) -> Self {
         EngineConfig {

@@ -30,7 +30,8 @@ use crate::offline::OfflineSse;
 use crate::scheme::SignalingScheme;
 use crate::signaling::{evaluate_scheme_under_noise, ossp_closed_form};
 use crate::sse::{
-    BackendOptions, SolverBackend, SseCache, SseCacheTotals, SseInput, SseSolution, SseSolver,
+    BackendOptions, SolverBackend, SolverBackendKind, SseCache, SseCacheTotals, SseInput,
+    SseSolution, SseSolver,
 };
 use crate::Result;
 use rand::rngs::StdRng;
@@ -45,8 +46,8 @@ use std::time::Instant;
 /// The audit-cycle engine: a validated configuration, the solver used by
 /// the low-level per-alert entry points, and (with the `parallel` feature,
 /// on multi-core hosts) a persistent worker pool spawned **once** — lazily,
-/// the first time a sharded replay or a many-type candidate fan-out asks
-/// for it — and shared by the engine and all its clones, replacing the
+/// the first time a sharded replay or the simplex-LP backend's many-type
+/// candidate fan-out asks for it — and shared by the engine and all its clones, replacing the
 /// per-call `std::thread::scope` spawns of earlier revisions. Day-scoped
 /// state lives on the [`DaySession`]s the engine opens.
 #[derive(Debug, Clone)]
@@ -54,8 +55,8 @@ pub struct AuditCycleEngine {
     pub(super) config: EngineConfig,
     solver: SseSolver,
     /// Lazily spawned worker pool, shared across engine clones. Engines
-    /// whose workloads never fan out (few-type games, no sharded replays)
-    /// never spawn a thread.
+    /// whose workloads never fan out (no simplex-LP backend on a many-type
+    /// game, no sharded replays) never spawn a thread.
     pool: Arc<OnceLock<Option<Arc<WorkerPool>>>>,
 }
 
@@ -168,10 +169,12 @@ impl AuditCycleEngine {
     }
 
     /// The backend options this engine instantiates session backends with.
-    /// The pool is only handed out (and hence only spawned) when the game
-    /// has enough types for the candidate fan-out to ever run.
+    /// The pool is only handed out (and hence only spawned) to the
+    /// simplex-LP backend, and only when the game has enough types for its
+    /// candidate fan-out to ever run.
     fn backend_options(&self) -> BackendOptions {
-        let wants_fan_out = self.config.game.num_types() >= crate::sse::solver::PARALLEL_MIN_TYPES;
+        let wants_fan_out = self.config.backend == SolverBackendKind::SimplexLp
+            && self.config.game.num_types() >= crate::sse::solver::PARALLEL_MIN_TYPES;
         BackendOptions {
             pruning: self.config.pruning,
             epsilon: self.config.epsilon,

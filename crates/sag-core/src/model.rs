@@ -170,6 +170,23 @@ impl PayoffTable {
         &self.payoffs
     }
 
+    /// The largest payoff magnitude in the table (0 for an empty table):
+    /// the scale that relative tolerances on utilities are taken against.
+    #[must_use]
+    pub fn magnitude(&self) -> f64 {
+        self.payoffs
+            .iter()
+            .flat_map(|p| {
+                [
+                    p.auditor_covered,
+                    p.auditor_uncovered,
+                    p.attacker_covered,
+                    p.attacker_uncovered,
+                ]
+            })
+            .fold(0.0, |m, v| m.max(v.abs()))
+    }
+
     /// Validate every row.
     pub fn validate(&self) -> Result<()> {
         if self.payoffs.is_empty() {

@@ -6,9 +6,13 @@
 //! resulting coverage probabilities — and hence the auditor's expected
 //! utility — stay fixed for every alert of the day, which is why the offline
 //! SSE series in the paper's Figures 2 and 3 is flat.
+//!
+//! The solve goes through the same exact breakpoint sweep as the default
+//! online backend ([`crate::sse::sweep`]), so the baseline and the online
+//! worlds use one equilibrium rule.
 
 use crate::model::PayoffTable;
-use crate::sse::{SseInput, SseSolution, SseSolver};
+use crate::sse::{sweep, SseInput, SseSolution};
 use crate::Result;
 use sag_sim::AlertTypeId;
 
@@ -28,7 +32,7 @@ impl OfflineSse {
     ///
     /// # Errors
     ///
-    /// Propagates configuration and LP errors from the SSE solver.
+    /// Returns [`crate::SagError::InvalidConfig`] for malformed inputs.
     pub fn solve(
         payoffs: &PayoffTable,
         audit_costs: &[f64],
@@ -41,7 +45,7 @@ impl OfflineSse {
             future_estimates: expected_daily_totals,
             budget,
         };
-        let solution = SseSolver::new().solve(&input)?;
+        let solution = sweep::solve(&input)?;
         Ok(OfflineSse { solution })
     }
 

@@ -1,23 +1,26 @@
 //! The solver seam between the streaming engine and the SSE machinery.
 //!
-//! A [`crate::engine::DaySession`] never calls [`SseSolver`] directly: it
-//! solves every per-alert equilibrium through a [`SolverBackend`], an owned,
-//! stateful object that carries its own warm-start caches. The seam exists so
+//! A [`crate::engine::DaySession`] never calls a solver directly: it solves
+//! every per-alert equilibrium through a [`SolverBackend`], an owned object
+//! that carries whatever state its strategy needs. The seam exists so
 //! alternative solver strategies (robust variants, leaky-deception evidence
-//! models, future interior-point or learned solvers) can be slotted in
-//! without touching the per-day loop.
+//! models, learned solvers) can be slotted in without touching the per-day
+//! loop.
 //!
-//! Two backends ship today:
+//! Three backends ship today:
 //!
-//! * [`SimplexLpBackend`] — the multiple-LP method over [`SseSolver`] with an
-//!   [`SseCache`] of per-candidate warm-start bases. Its
-//!   [`auto`](SimplexLpBackend::auto) flavour answers single-type games with
-//!   the exact closed form (the paper's behaviour); its
-//!   [`lp_only`](SimplexLpBackend::lp_only) flavour forces every game through
-//!   the simplex.
-//! * [`ClosedFormBackend`] — the single-type closed form promoted to a
-//!   standalone backend: no LP, no warm-start state, O(1) per solve. Rejects
-//!   multi-type inputs.
+//! * [`SweepBackend`] ([`SolverBackendKind::Auto`], the default) — the exact
+//!   breakpoint sweep of [`super::sweep`]: every candidate LP solved at once
+//!   in `O(n log n)`, no simplex, no warm-start state, minimal-spend coverage
+//!   for every type. Single-type games take the closed form.
+//! * [`SimplexLpBackend`] ([`SolverBackendKind::SimplexLp`]) — the paper's
+//!   multiple-LP method over [`SseSolver`] with an [`SseCache`] of
+//!   per-candidate warm-start bases, incremental pruning, the ε mode and the
+//!   pooled candidate fan-out. Every game runs through the simplex, single-type
+//!   games included. It is the oracle the sweep is tested against.
+//! * [`ClosedFormBackend`] ([`SolverBackendKind::ClosedForm`]) — the
+//!   single-type closed form alone: O(1) per solve; rejects multi-type
+//!   inputs.
 //!
 //! Which backend a session instantiates is chosen by
 //! [`SolverBackendKind`] on [`crate::engine::EngineConfig`].
@@ -26,6 +29,7 @@ use super::cache::{SseCache, SseCacheTotals};
 use super::input::SseInput;
 use super::solution::SseSolution;
 use super::solver::SseSolver;
+use super::sweep::SweepBackend;
 use crate::{ConfigError, Result};
 use sag_pool::WorkerPool;
 use std::sync::Arc;
@@ -70,9 +74,12 @@ pub trait SolverBackend: std::fmt::Debug + Send {
     }
 }
 
-/// Construction-time options shared by every backend kind, carried from
-/// [`crate::engine::EngineConfig`] / [`crate::engine::AuditCycleEngine`]
-/// into [`SolverBackendKind::instantiate_with`].
+/// Construction-time options, carried from [`crate::engine::EngineConfig`]
+/// / [`crate::engine::AuditCycleEngine`] into
+/// [`SolverBackendKind::instantiate_with`]. All three tune the multiple-LP
+/// method and only [`SolverBackendKind::SimplexLp`] reads them: the sweep is
+/// exact without pruning, already meets any ε bound, and has no candidate
+/// LPs to fan out; the closed form has one candidate.
 #[derive(Debug, Clone)]
 pub struct BackendOptions {
     /// Whether cached solves use incremental candidate pruning (results are
@@ -103,12 +110,16 @@ impl Default for BackendOptions {
 /// on [`crate::engine::EngineConfig::backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackendKind {
-    /// The paper's dispatch: the exact closed form for single-type games,
-    /// the warm-started multiple-LP method otherwise. The default.
+    /// The exact breakpoint sweep ([`SweepBackend`]): the closed form for
+    /// single-type games, one sweep over the types sorted by uncovered
+    /// attacker payoff otherwise. Same equilibrium as the multiple-LP method
+    /// (objective and winner), with the canonical minimal-spend coverage on
+    /// every type. Ignores the pruning, ε and pool options. The default.
     #[default]
     Auto,
-    /// Always the warm-started multiple-LP method, even for single-type
-    /// games (useful for validating the closed form and for profiling).
+    /// The paper's warm-started multiple-LP method ([`SimplexLpBackend`]),
+    /// even for single-type games: the oracle the sweep is tested against,
+    /// and the only backend the pruning, ε and pool options apply to.
     SimplexLp,
     /// Only the single-type closed form. Engine validation rejects this
     /// backend for multi-type games.
@@ -148,10 +159,8 @@ impl SolverBackendKind {
     #[must_use]
     pub fn instantiate_with(self, options: &BackendOptions) -> Box<dyn SolverBackend> {
         match self {
-            SolverBackendKind::Auto => Box::new(SimplexLpBackend::auto().with_options(options)),
-            SolverBackendKind::SimplexLp => {
-                Box::new(SimplexLpBackend::lp_only().with_options(options))
-            }
+            SolverBackendKind::Auto => Box::new(SweepBackend::new()),
+            SolverBackendKind::SimplexLp => Box::new(SimplexLpBackend::new().with_options(options)),
             SolverBackendKind::ClosedForm => Box::new(ClosedFormBackend::new()),
         }
     }
@@ -164,31 +173,15 @@ impl SolverBackendKind {
 pub struct SimplexLpBackend {
     solver: SseSolver,
     cache: SseCache,
-    allow_fast_path: bool,
     pool: Option<Arc<WorkerPool>>,
 }
 
 impl SimplexLpBackend {
-    /// The paper's dispatch: closed form for single-type games, the LP
-    /// method otherwise ([`SolverBackendKind::Auto`]).
+    /// The multiple-LP method with the default options (pruning on, exact,
+    /// no pool). Every game runs through the simplex, single-type included.
     #[must_use]
-    pub fn auto() -> Self {
-        SimplexLpBackend {
-            solver: SseSolver::new(),
-            cache: SseCache::new(),
-            allow_fast_path: true,
-            pool: None,
-        }
-    }
-
-    /// Force every game through the multiple-LP method
-    /// ([`SolverBackendKind::SimplexLp`]).
-    #[must_use]
-    pub fn lp_only() -> Self {
-        SimplexLpBackend {
-            allow_fast_path: false,
-            ..Self::auto()
-        }
+    pub fn new() -> Self {
+        SimplexLpBackend::default()
     }
 
     /// Apply shared [`BackendOptions`]: pruning mode, ε tolerance and
@@ -203,20 +196,12 @@ impl SimplexLpBackend {
 
 impl SolverBackend for SimplexLpBackend {
     fn name(&self) -> &'static str {
-        if self.allow_fast_path {
-            "auto"
-        } else {
-            "simplex-lp"
-        }
+        "simplex-lp"
     }
 
     fn solve(&mut self, input: &SseInput<'_>) -> Result<SseSolution> {
-        self.solver.solve_cached_with(
-            input,
-            &mut self.cache,
-            self.allow_fast_path,
-            self.pool.as_deref(),
-        )
+        self.solver
+            .solve_cached_with(input, &mut self.cache, false, self.pool.as_deref())
     }
 
     fn reset_warm_state(&mut self) {
@@ -237,14 +222,12 @@ impl SolverBackend for SimplexLpBackend {
 }
 
 /// The single-type closed form as a standalone backend: no LP, no warm-start
-/// state, O(1) per solve ([`SolverBackendKind::ClosedForm`]).
+/// state, O(1) per solve ([`SolverBackendKind::ClosedForm`]). It is the
+/// sweep backend restricted to single-type games, where the sweep takes the
+/// closed form.
 #[derive(Debug, Clone, Default)]
 pub struct ClosedFormBackend {
-    totals: SseCacheTotals,
-    rates: Vec<f64>,
-    /// Recycled `(coverage, budget_split)` buffers of the previous solution,
-    /// so the per-alert steady state allocates nothing.
-    spare: Option<(Vec<f64>, Vec<f64>)>,
+    sweep: SweepBackend,
 }
 
 impl ClosedFormBackend {
@@ -269,24 +252,19 @@ impl SolverBackend for ClosedFormBackend {
             }
             .into());
         }
-        SseSolver::coverage_rates_into(input, &mut self.rates);
-        let buffers = self.spare.take().unwrap_or_default();
-        let solution = SseSolver::solve_single_type(input, &self.rates, buffers);
-        self.totals.solves += 1;
-        self.totals.fast_path_solves += 1;
-        Ok(solution)
+        self.sweep.solve(input)
     }
 
     fn reset_warm_state(&mut self) {
-        // Stateless between solves: nothing to forget.
+        self.sweep.reset_warm_state();
     }
 
     fn totals(&self) -> SseCacheTotals {
-        self.totals
+        self.sweep.totals()
     }
 
     fn recycle(&mut self, solution: SseSolution) {
-        self.spare = Some((solution.coverage, solution.budget_split));
+        self.sweep.recycle(solution);
     }
 }
 
@@ -327,10 +305,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_backend_matches_the_cached_solver_exactly() {
+    fn simplex_lp_backend_matches_the_cached_solver_exactly() {
         let payoffs = PayoffTable::paper_table2();
         let costs = vec![1.0; 7];
-        let mut backend = SolverBackendKind::Auto.instantiate();
+        let mut backend = SolverBackendKind::SimplexLp.instantiate();
         let solver = SseSolver::new();
         let mut cache = SseCache::new();
         let mut budget = 50.0;
@@ -339,7 +317,8 @@ mod tests {
             let input = input(&payoffs, &costs, &estimates, budget);
             let via_backend = backend.solve(&input).unwrap();
             let via_solver = solver.solve_cached(&input, &mut cache).unwrap();
-            // The auto backend *is* the cached solver: bitwise agreement.
+            // On a multi-type game the simplex-LP backend *is* the cached
+            // solver: bitwise agreement.
             assert_eq!(via_backend, via_solver);
             budget = (budget - 0.35).max(0.0);
             for e in &mut estimates {
@@ -399,7 +378,7 @@ mod tests {
         let payoffs = PayoffTable::paper_table2();
         let costs = vec![1.0; 7];
         let estimates = vec![50.0; 7];
-        let mut backend = SimplexLpBackend::auto();
+        let mut backend = SimplexLpBackend::new();
         let probe = input(&payoffs, &costs, &estimates, 25.0);
         backend.solve(&probe).unwrap();
         backend.solve(&probe).unwrap();

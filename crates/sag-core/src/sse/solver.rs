@@ -54,6 +54,14 @@ pub(crate) const PARALLEL_MIN_TYPES: usize = 8;
 /// still pruning every realistically separated candidate.
 const PRUNE_MARGIN: f64 = 1e-6;
 
+/// The largest payoff magnitude of the game. The candidate LPs divide their
+/// payoff-derived rows and objective by it, so the simplex's absolute
+/// tolerances ([`sag_lp::EPS`]) mean the same at payoffs of 1e-6 and of 1e9:
+/// the programs are scale-free up to rounding.
+pub(super) fn payoff_scale(input: &SseInput<'_>) -> f64 {
+    input.payoffs.magnitude().max(f64::MIN_POSITIVE)
+}
+
 /// A cached candidate LP: the problem plus its variable handles.
 #[derive(Debug, Clone)]
 pub(super) struct CandidateProgram {
@@ -371,6 +379,7 @@ impl SseSolver {
         let mut stats = SseSolveStats::default();
         let mut best: Option<(usize, CandidateOutcome)> = None;
         let mut max_skipped_ub = f64::NEG_INFINITY;
+        let scale = payoff_scale(input);
 
         let inc_outcome = slots[w].solve(input, rates, w, true)?;
         record(&mut stats, &inc_outcome);
@@ -391,13 +400,14 @@ impl SseSolver {
                     let program = slot.program.as_ref().expect("program just prepared");
                     let bound = program.lp.lagrangian_bound(last.duals(), bound_scratch);
                     // The LP objective is the coverage gain
-                    // `θ_c (Ud,c − Ud,u)`, so the candidate's auditor utility
-                    // is bounded by `Ud,u + bound`. A candidate strictly
+                    // `θ_c (Ud,c − Ud,u)` over the payoff scale, so the
+                    // candidate's auditor utility is bounded by
+                    // `Ud,u + scale · bound`. A candidate strictly
                     // below the incumbent (by more than the float-safety
                     // margin) can neither win nor tie, whatever its index —
                     // skip its LP.
                     let payoffs = input.payoffs.get(AlertTypeId(candidate as u16));
-                    let ub = payoffs.auditor_uncovered + bound;
+                    let ub = payoffs.auditor_uncovered + scale * bound;
                     if ub <= inc.auditor_utility - PRUNE_MARGIN {
                         stats.pruned_lps += 1;
                         continue;
@@ -578,10 +588,12 @@ impl CandidateProgram {
     /// Variables: the budget split `B^t`, bounded so that `θ^t = ρ^t B^t ≤ 1`.
     /// Objective: the auditor's utility against an attack on the candidate
     /// type (`auditor = Ud,u + θ·(Ud,c − Ud,u)`, `θ = ρ·B`). Constraints: one
-    /// best-response row per other type, then the budget row.
+    /// best-response row per other type, then the budget row. The objective
+    /// and the best-response rows are divided by [`payoff_scale`].
     fn build(input: &SseInput<'_>, rates: &[f64], candidate: usize) -> Self {
         let n = input.payoffs.len();
         let payoff_of = |t: usize| input.payoffs.get(AlertTypeId(t as u16));
+        let scale = payoff_scale(input);
 
         let mut lp = LpProblem::new(Objective::Maximize);
         let vars: Vec<VarId> = (0..n)
@@ -598,23 +610,25 @@ impl CandidateProgram {
         let cand = payoff_of(candidate);
         lp.set_objective(
             vars[candidate],
-            rates[candidate] * (cand.auditor_covered - cand.auditor_uncovered),
+            rates[candidate] * (cand.auditor_covered - cand.auditor_uncovered) / scale,
         );
 
         // Best-response constraints: attacker prefers the candidate type.
         // Ua,u[c] + θ_c (Ua,c[c] − Ua,u[c]) ≥ Ua,u[t] + θ_t (Ua,c[t] − Ua,u[t])
-        let cand_slope = rates[candidate] * (cand.attacker_covered - cand.attacker_uncovered);
+        let cand_slope =
+            rates[candidate] * (cand.attacker_covered - cand.attacker_uncovered) / scale;
         for t in 0..n {
             if t == candidate {
                 continue;
             }
             let other = payoff_of(t);
-            let other_slope = rates[t] * (other.attacker_covered - other.attacker_uncovered);
-            // other_slope·B_t − cand_slope·B_c ≤ Ua,u[c] − Ua,u[t]
+            let other_slope =
+                rates[t] * (other.attacker_covered - other.attacker_uncovered) / scale;
+            // other_slope·B_t − cand_slope·B_c ≤ (Ua,u[c] − Ua,u[t]) / scale
             lp.add_constraint(
                 &[(vars[t], other_slope), (vars[candidate], -cand_slope)],
                 Relation::Le,
-                cand.attacker_uncovered - other.attacker_uncovered,
+                (cand.attacker_uncovered - other.attacker_uncovered) / scale,
             );
         }
 
@@ -632,6 +646,7 @@ impl CandidateProgram {
     fn update(&mut self, input: &SseInput<'_>, rates: &[f64], candidate: usize) {
         let n = self.vars.len();
         let payoff_of = |t: usize| input.payoffs.get(AlertTypeId(t as u16));
+        let scale = payoff_scale(input);
 
         for (t, &var) in self.vars.iter().enumerate() {
             let max_useful = if rates[t] > 0.0 {
@@ -645,21 +660,24 @@ impl CandidateProgram {
         let cand = payoff_of(candidate);
         self.lp.set_objective(
             self.vars[candidate],
-            rates[candidate] * (cand.auditor_covered - cand.auditor_uncovered),
+            rates[candidate] * (cand.auditor_covered - cand.auditor_uncovered) / scale,
         );
 
-        let cand_slope = rates[candidate] * (cand.attacker_covered - cand.attacker_uncovered);
+        let cand_slope =
+            rates[candidate] * (cand.attacker_covered - cand.attacker_uncovered) / scale;
         let mut row = 0;
         for (t, &rate) in rates.iter().enumerate().take(n) {
             if t == candidate {
                 continue;
             }
             let other = payoff_of(t);
-            let other_slope = rate * (other.attacker_covered - other.attacker_uncovered);
+            let other_slope = rate * (other.attacker_covered - other.attacker_uncovered) / scale;
             self.lp.set_constraint_term(row, 0, other_slope);
             self.lp.set_constraint_term(row, 1, -cand_slope);
-            self.lp
-                .set_constraint_rhs(row, cand.attacker_uncovered - other.attacker_uncovered);
+            self.lp.set_constraint_rhs(
+                row,
+                (cand.attacker_uncovered - other.attacker_uncovered) / scale,
+            );
             row += 1;
         }
         // Budget row is last; only its right-hand side moves.
@@ -1102,8 +1120,8 @@ mod tests {
                     slot.prepare(&next, &rates, candidate);
                     let program = slot.program.as_ref().unwrap();
                     let bound = program.lp.lagrangian_bound(&duals, &mut scratch);
-                    let ub_utility =
-                        payoffs.get(AlertTypeId(candidate as u16)).auditor_uncovered + bound;
+                    let ub_utility = payoffs.get(AlertTypeId(candidate as u16)).auditor_uncovered
+                        + payoff_scale(&next) * bound;
                     // Truth: solve this candidate's LP cold on the new data.
                     let mut ws = SimplexWorkspace::new();
                     match SseSolver::solve_for_candidate(&next, &rates, candidate, &mut ws) {

@@ -540,10 +540,15 @@ pub fn tenant_fleet_cluster_parts(
 mod tests {
     use super::*;
     use crate::library::{BudgetShocks, PaperBaseline};
+    use sag_core::sse::SolverBackendKind;
 
     #[test]
     fn baseline_run_produces_one_cycle_per_test_day() {
-        let run = run_scenario_sized(&PaperBaseline, 11, 1, 6, 3).unwrap();
+        // Pinned to the simplex-LP oracle: the warm-start counters need LPs.
+        let run = run_scenario_sized_with(&PaperBaseline, 11, 1, 6, 3, |engine| {
+            engine.backend = SolverBackendKind::SimplexLp;
+        })
+        .unwrap();
         assert_eq!(run.cycles.len(), 3);
         assert!(run.alerts() > 300);
         assert!(run.alerts_per_sec() > 0.0);

@@ -102,9 +102,10 @@ fn zero_epsilon_replays_equal_exact_across_the_whole_registry() {
 fn positive_epsilon_skips_lps_and_certifies_the_loss_per_day() {
     let scenario = sag_scenarios::find_scenario("metro-grid").expect("registered");
     let epsilon = 25.0;
+    // The ε mode is a simplex-LP option; the exact sweep skips nothing.
     let cycles = replay(
         scenario.as_ref(),
-        SolverBackendKind::Auto,
+        SolverBackendKind::SimplexLp,
         Some(epsilon),
         2019,
         3,

@@ -98,7 +98,10 @@ fn pruning_is_result_identical_across_the_whole_registry() {
 fn pruning_actually_skips_most_candidate_lps() {
     for name in ["paper-baseline", "multi-site", "metro-grid"] {
         let scenario = sag_scenarios::find_scenario(name).expect("registered");
-        let engine = AuditCycleEngine::new(scenario.engine_config()).expect("engine");
+        // Pruning is a simplex-LP option; the default sweep solves no LPs.
+        let mut config = scenario.engine_config();
+        config.backend = SolverBackendKind::SimplexLp;
+        let engine = AuditCycleEngine::new(config).expect("engine");
         let log = AlertLog::new(scenario.generate_days(11, 4));
         let groups = log.rolling_groups(3);
         let jobs: Vec<ReplayJob<'_>> = groups.iter().map(|&(h, t)| ReplayJob::new(h, t)).collect();
