@@ -1,12 +1,9 @@
 //! Criterion bench for the LP substrate: raw simplex solves of the two LP
 //! shapes the SAG issues (LP (2) best-response programs and LP (3) signaling
-//! programs), a scaling sweep over problem size, and the blocked production
-//! kernel vs the frozen scalar reference on large candidate LPs (the data
-//! behind the BENCH_1 `lp_kernel` section).
+//! programs) and a scaling sweep over problem size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sag_bench::setup;
-use sag_lp::{LpProblem, Objective, Pricing, ReferenceWorkspace, Relation, SimplexWorkspace};
+use sag_lp::{LpProblem, Objective, Relation};
 use std::hint::black_box;
 
 /// Build an LP (3)-shaped program (4 variables, 4 constraints).
@@ -45,47 +42,6 @@ fn lp2_program(n: usize, budget: f64) -> LpProblem {
     lp
 }
 
-/// Cold solves of candidate-shaped LPs (`n` variables, `n` constraints)
-/// through the frozen scalar reference, the blocked kernel under Bland
-/// pricing (bitwise-identical pivot path — the per-pivot speedup alone), and
-/// the blocked kernel under Dantzig pricing (the full production headroom).
-fn kernel_vs_reference(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_kernel");
-    for &n in &[28usize, 64, 128] {
-        group.bench_with_input(BenchmarkId::new("reference", n), &n, |b, &n| {
-            let mut ws = ReferenceWorkspace::new();
-            let mut step = 0usize;
-            b.iter(|| {
-                step += 1;
-                let lp = setup::candidate_lp(n, step);
-                let solution = ws.solve(black_box(&lp)).unwrap();
-                let objective = solution.objective();
-                ws.recycle(solution);
-                black_box(objective)
-            });
-        });
-        for (label, pricing) in [
-            ("blocked_bland", Pricing::Bland),
-            ("dantzig", Pricing::Dantzig),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, &n| {
-                let mut ws = SimplexWorkspace::new();
-                ws.set_pricing(pricing);
-                let mut step = 0usize;
-                b.iter(|| {
-                    step += 1;
-                    let lp = setup::candidate_lp(n, step);
-                    let solution = lp.solve_with(black_box(&mut ws)).unwrap();
-                    let objective = solution.objective();
-                    ws.recycle(solution);
-                    black_box(objective)
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 fn lp_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_substrate");
 
@@ -102,5 +58,5 @@ fn lp_benches(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, lp_benches, kernel_vs_reference);
+criterion_group!(benches, lp_benches);
 criterion_main!(benches);

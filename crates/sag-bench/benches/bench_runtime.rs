@@ -1,17 +1,18 @@
 //! Criterion bench for Experiment E5: the per-alert SAG optimization cost
-//! (online SSE via the multiple-LP method + OSSP closed form), which is the
-//! latency a user would experience before the warning dialog can be shown.
-//! The paper reports ≈ 0.02 s per alert on 2017 laptop hardware.
+//! (online SSE + OSSP closed form), which is the latency a user would
+//! experience before the warning dialog can be shown. The paper reports
+//! ≈ 0.02 s per alert on 2017 laptop hardware.
 //!
-//! Game setups are shared with `bench_throughput.rs` through
-//! `sag_bench::setup`.
+//! Multi-type games are measured on both backends: the served sweep
+//! (`SolverBackendKind::Auto`) and the paper's multiple-LP method
+//! (`SseSolver::solve`, the oracle). Game setups are shared with
+//! `bench_throughput.rs` through `sag_bench::setup`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sag_bench::setup;
-use sag_core::engine::{AuditCycleEngine, EngineConfig};
 use sag_core::signaling::ossp_closed_form;
-use sag_core::sse::{SseCache, SseSolver};
-use sag_sim::{Alert, AlertTypeId, TimeOfDay};
+use sag_core::sse::{SolverBackendKind, SseSolver};
+use sag_sim::AlertTypeId;
 use std::hint::black_box;
 
 fn per_alert_optimization(c: &mut Criterion) {
@@ -38,10 +39,10 @@ fn per_alert_optimization(c: &mut Criterion) {
         });
     });
 
-    // Multi-type game (Figure 3 setting), cold and warm.
+    // Multi-type game (Figure 3 setting), LP oracle and served sweep.
     let multi = setup::multi_type_game();
     let multi_estimates = setup::multi_type_estimates();
-    group.bench_function("sse_plus_ossp/7_types_cold", |b| {
+    group.bench_function("sse_plus_ossp/7_types_lp", |b| {
         let solver = SseSolver::new();
         b.iter(|| {
             let input = setup::sse_input(
@@ -56,9 +57,8 @@ fn per_alert_optimization(c: &mut Criterion) {
             black_box((sse.auditor_utility, ossp.auditor_utility))
         });
     });
-    group.bench_function("sse_plus_ossp/7_types_warm", |b| {
-        let solver = SseSolver::new();
-        let mut cache = SseCache::new();
+    group.bench_function("sse_plus_ossp/7_types_sweep", |b| {
+        let mut backend = SolverBackendKind::Auto.instantiate();
         b.iter(|| {
             let input = setup::sse_input(
                 &multi.payoffs,
@@ -66,90 +66,41 @@ fn per_alert_optimization(c: &mut Criterion) {
                 black_box(&multi_estimates),
                 black_box(setup::MULTI_TYPE_BUDGET),
             );
-            let sse = solver.solve_cached(&input, &mut cache).unwrap();
+            let sse = backend.solve(&input).unwrap();
             let t = sse.best_response;
             let ossp = ossp_closed_form(multi.payoffs.get(t), sse.coverage_of(t));
-            black_box((sse.auditor_utility, ossp.auditor_utility))
-        });
-    });
-
-    // The acceptance workload: warm vs cold on the synthetic 5-type game.
-    let (payoffs5, costs5, estimates5) = setup::synthetic_game(5);
-    group.bench_function("sse_5type/cold", |b| {
-        let solver = SseSolver::new();
-        b.iter(|| {
-            let input =
-                setup::sse_input(&payoffs5, &costs5, black_box(&estimates5), black_box(30.0));
-            black_box(solver.solve(&input).unwrap().auditor_utility)
-        });
-    });
-    group.bench_function("sse_5type/warm", |b| {
-        let solver = SseSolver::new();
-        let mut cache = SseCache::new();
-        b.iter(|| {
-            let input =
-                setup::sse_input(&payoffs5, &costs5, black_box(&estimates5), black_box(30.0));
-            black_box(
-                solver
-                    .solve_cached(&input, &mut cache)
-                    .unwrap()
-                    .auditor_utility,
-            )
-        });
-    });
-
-    // Full per-alert engine path (estimates provided, like the online
-    // system), cold and warm-cached.
-    let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-    let alert = Alert::benign(0, TimeOfDay::from_hms(10, 30, 0), AlertTypeId(2));
-    group.bench_function("engine_solve_alert/7_types_cold", |b| {
-        b.iter(|| {
-            black_box(
-                engine
-                    .solve_alert(
-                        black_box(&alert),
-                        black_box(&multi_estimates),
-                        black_box(setup::MULTI_TYPE_BUDGET),
-                    )
-                    .unwrap()
-                    .2,
-            )
-        });
-    });
-    group.bench_function("engine_solve_alert/7_types_warm", |b| {
-        let mut cache = SseCache::new();
-        b.iter(|| {
-            black_box(
-                engine
-                    .solve_alert_cached(
-                        black_box(&alert),
-                        black_box(&multi_estimates),
-                        black_box(setup::MULTI_TYPE_BUDGET),
-                        &mut cache,
-                    )
-                    .unwrap()
-                    .2,
-            )
+            let utilities = (sse.auditor_utility, ossp.auditor_utility);
+            backend.recycle(sse);
+            black_box(utilities)
         });
     });
 
     // Scaling with the number of types (synthetic payoff tables).
     for &n in &[2usize, 4, 8, 16] {
         let (payoffs, costs, estimates) = setup::synthetic_game(n);
-        group.bench_with_input(BenchmarkId::new("sse_scaling_types", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("sse_scaling_types/lp", n), &n, |b, _| {
             let solver = SseSolver::new();
-            let mut cache = SseCache::new();
             b.iter(|| {
                 let input =
                     setup::sse_input(&payoffs, &costs, black_box(&estimates), black_box(30.0));
-                black_box(
-                    solver
-                        .solve_cached(&input, &mut cache)
-                        .unwrap()
-                        .auditor_utility,
-                )
+                black_box(solver.solve(&input).unwrap().auditor_utility)
             });
         });
+        group.bench_with_input(
+            BenchmarkId::new("sse_scaling_types/sweep", n),
+            &n,
+            |b, _| {
+                let mut backend = SolverBackendKind::Auto.instantiate();
+                b.iter(|| {
+                    let input =
+                        setup::sse_input(&payoffs, &costs, black_box(&estimates), black_box(30.0));
+                    let sse = backend.solve(&input).unwrap();
+                    let utility = sse.auditor_utility;
+                    backend.recycle(sse);
+                    black_box(utility)
+                });
+            },
+        );
     }
 
     group.finish();

@@ -1,13 +1,13 @@
 //! Criterion bench for the batched end-to-end replay path: whole test days
-//! replayed through `AuditCycleEngine::replay_batch` over shared warm-start
-//! state, plus the isolated warm vs cold SSE comparison on the 5-type game.
+//! replayed through `AuditCycleEngine::replay_batch`, plus one SSE solve of
+//! the 5-type game on the LP oracle and on the served sweep.
 //! This is the throughput counterpart of `bench_runtime.rs` (which measures
 //! one alert at a time).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sag_bench::setup;
 use sag_core::engine::{AuditCycleEngine, EngineConfig};
-use sag_core::sse::{SseCache, SseSolver};
+use sag_core::sse::{SolverBackendKind, SseSolver};
 use sag_sim::{AlertLog, StreamConfig, StreamGenerator};
 use std::hint::black_box;
 
@@ -23,28 +23,23 @@ fn replay_throughput(c: &mut Criterion) {
         b.iter(|| black_box(engine.replay_batch(black_box(&groups)).unwrap().len()));
     });
 
-    // Warm vs cold SSE on the 5-type scaling game (the acceptance metric).
+    // One SSE solve of the 5-type scaling game: LP oracle vs served sweep.
     let (payoffs, costs, estimates) = setup::synthetic_game(5);
-    let solver = SseSolver::new();
-    group.bench_function("sse_5type/cold", |b| {
+    group.bench_function("sse_5type/lp", |b| {
+        let solver = SseSolver::new();
         b.iter(|| {
             let input = setup::sse_input(&payoffs, &costs, &estimates, black_box(30.0));
             black_box(solver.solve(&input).unwrap().auditor_utility)
         });
     });
-    group.bench_function("sse_5type/warm", |b| {
-        let mut cache = SseCache::new();
-        // Pre-warm so the measured loop is the steady state.
-        let input = setup::sse_input(&payoffs, &costs, &estimates, 30.0);
-        solver.solve_cached(&input, &mut cache).unwrap();
+    group.bench_function("sse_5type/sweep", |b| {
+        let mut backend = SolverBackendKind::Auto.instantiate();
         b.iter(|| {
             let input = setup::sse_input(&payoffs, &costs, &estimates, black_box(30.0));
-            black_box(
-                solver
-                    .solve_cached(&input, &mut cache)
-                    .unwrap()
-                    .auditor_utility,
-            )
+            let sse = backend.solve(&input).unwrap();
+            let utility = sse.auditor_utility;
+            backend.recycle(sse);
+            black_box(utility)
         });
     });
 

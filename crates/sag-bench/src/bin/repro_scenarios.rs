@@ -1,5 +1,5 @@
 //! Replay the full scenario registry and write `BENCH_2.json`: per-scenario
-//! throughput, warm-start hit rate and utility profile, plus the
+//! throughput and utility profile, plus the
 //! sharded-vs-sequential wall-clock comparison of `replay_sharded`.
 //!
 //! Usage:
@@ -25,26 +25,15 @@ fn main() {
     let report = scenario_suite(&SuiteConfig::full(seed, shards)).expect("registry replays");
 
     println!(
-        "{:<16} {:>7} {:>12} {:>9} {:>8} {:>8} {:>10} {:>10} {:>9}",
-        "scenario",
-        "alerts",
-        "alerts/sec",
-        "warm-hit",
-        "pruned",
-        "LPs/slv",
-        "OSSP",
-        "online",
-        "deterred"
+        "{:<16} {:>7} {:>12} {:>10} {:>10} {:>9}",
+        "scenario", "alerts", "alerts/sec", "OSSP", "online", "deterred"
     );
     for s in &report.scenarios {
         println!(
-            "{:<16} {:>7} {:>12.0} {:>8.1}% {:>7.1}% {:>8.2} {:>10.2} {:>10.2} {:>8.1}%",
+            "{:<16} {:>7} {:>12.0} {:>10.2} {:>10.2} {:>8.1}%",
             s.name,
             s.alerts,
             s.alerts_per_sec,
-            s.warm_hit_rate * 100.0,
-            s.pruned_lp_fraction * 100.0,
-            s.lp_solves_per_solve,
             s.mean_ossp,
             s.mean_online,
             s.fraction_deterred * 100.0

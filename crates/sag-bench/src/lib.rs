@@ -41,6 +41,6 @@ pub use scenario_suite::{
 };
 pub use sweeps::{budget_sweep, rolling_groups_parallel, BudgetSweepPoint, GroupResult};
 pub use throughput::{
-    streaming_experiment, throughput_experiment, warm_vs_cold_5type, StreamingLatencyReport,
-    ThroughputConfig, ThroughputReport,
+    streaming_experiment, throughput_experiment, StreamingLatencyReport, ThroughputConfig,
+    ThroughputReport,
 };

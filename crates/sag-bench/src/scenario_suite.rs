@@ -1,10 +1,8 @@
 //! The scenario-registry benchmark behind `repro_scenarios` / `BENCH_2.json`.
 //!
 //! Replays every scenario registered in `sag-scenarios` through the engine's
-//! sharded batch driver on the simplex-LP oracle
-//! ([`SolverBackendKind::SimplexLp`]: the rows report LP work, which the
-//! default sweep backend does not do) and reports, per scenario: throughput,
-//! warm-start hit rate, simplex work, and the utility profile of the three
+//! sharded batch driver on the scenario's own backend (the exact sweep) and
+//! reports, per scenario: throughput and the utility profile of the three
 //! strategies.
 //! A sharding section times an identical multi-day batch at one shard
 //! vs. many, quantifying the multi-core scaling of `replay_sharded` (whose
@@ -24,8 +22,7 @@ use sag_core::engine::EngineBuilder;
 use sag_core::sse::SolverBackendKind;
 use sag_core::{CycleResult, Result};
 use sag_scenarios::{
-    find_scenario, registry, run_scenario_service, run_scenario_sized, run_scenario_sized_with,
-    Scenario, ScenarioRun,
+    find_scenario, registry, run_scenario_service, run_scenario_sized, Scenario, ScenarioRun,
 };
 use sag_service::{AuditService, DurabilityOptions, Request, Response, TenantId};
 use std::fmt::Write as _;
@@ -47,15 +44,6 @@ pub struct ScenarioReport {
     pub wall_seconds: f64,
     /// Replay throughput.
     pub alerts_per_sec: f64,
-    /// Warm-start hit rate of the SSE solver over the replay.
-    pub warm_hit_rate: f64,
-    /// Mean simplex pivots per candidate LP.
-    pub pivots_per_lp: f64,
-    /// Fraction of candidate LPs skipped by the incremental pruning bound.
-    pub pruned_lp_fraction: f64,
-    /// Candidate LPs actually solved per SSE solve (the exhaustive method
-    /// would solve one per type).
-    pub lp_solves_per_solve: f64,
     /// Mean per-alert auditor utility under the OSSP.
     pub mean_ossp: f64,
     /// Mean per-alert auditor utility under the online SSE.
@@ -70,7 +58,6 @@ pub struct ScenarioReport {
 
 impl ScenarioReport {
     fn from_run(run: &ScenarioRun, description: &str) -> Self {
-        let totals = run.sse_totals();
         ScenarioReport {
             name: run.name.to_string(),
             description: description.to_string(),
@@ -78,14 +65,6 @@ impl ScenarioReport {
             alerts: run.alerts(),
             wall_seconds: run.wall_seconds,
             alerts_per_sec: run.alerts_per_sec(),
-            warm_hit_rate: totals.warm_hit_rate(),
-            pivots_per_lp: totals.pivots_per_lp(),
-            pruned_lp_fraction: totals.pruned_lp_fraction(),
-            lp_solves_per_solve: if totals.solves == 0 {
-                0.0
-            } else {
-                totals.lp_solves as f64 / totals.solves as f64
-            },
             mean_ossp: run.mean_ossp(),
             mean_online: run.mean_online(),
             mean_offline: run.mean_offline(),
@@ -245,7 +224,7 @@ impl SuiteConfig {
 pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
     let mut scenarios = Vec::new();
     for scenario in registry() {
-        let run = run_scenario_sized_with(
+        let run = run_scenario_sized(
             scenario.as_ref(),
             config.seed,
             config.shards,
@@ -253,7 +232,6 @@ pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
                 .history_days
                 .unwrap_or_else(|| scenario.history_days()),
             config.test_days.unwrap_or_else(|| scenario.test_days()),
-            |engine| engine.backend = SolverBackendKind::SimplexLp,
         )?;
         scenarios.push(ScenarioReport::from_run(&run, scenario.description()));
     }
@@ -622,11 +600,6 @@ pub fn render_suite_json(report: &ScenarioSuiteReport) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"scenario_registry_replay\",");
     let _ = writeln!(out, "  \"seed\": {},", report.seed);
-    let _ = writeln!(
-        out,
-        "  \"scenario_backend\": \"{}\",",
-        SolverBackendKind::SimplexLp.name()
-    );
     let _ = writeln!(out, "  \"scenarios\": [");
     let last = report.scenarios.len().saturating_sub(1);
     for (i, s) in report.scenarios.iter().enumerate() {
@@ -641,22 +614,6 @@ pub fn render_suite_json(report: &ScenarioSuiteReport) -> String {
         let _ = writeln!(out, "      \"alerts\": {},", s.alerts);
         let _ = writeln!(out, "      \"wall_seconds\": {:.6},", s.wall_seconds);
         let _ = writeln!(out, "      \"alerts_per_sec\": {:.2},", s.alerts_per_sec);
-        let _ = writeln!(
-            out,
-            "      \"warm_start_hit_rate\": {:.4},",
-            s.warm_hit_rate
-        );
-        let _ = writeln!(out, "      \"pivots_per_lp\": {:.3},", s.pivots_per_lp);
-        let _ = writeln!(
-            out,
-            "      \"pruned_lp_fraction\": {:.4},",
-            s.pruned_lp_fraction
-        );
-        let _ = writeln!(
-            out,
-            "      \"lp_solves_per_solve\": {:.3},",
-            s.lp_solves_per_solve
-        );
         let _ = writeln!(out, "      \"mean_ossp\": {:.3},", s.mean_ossp);
         let _ = writeln!(out, "      \"mean_online\": {:.3},", s.mean_online);
         let _ = writeln!(out, "      \"mean_offline\": {:.3},", s.mean_offline);
@@ -824,12 +781,6 @@ mod tests {
         for s in &report.scenarios {
             assert!(s.alerts > 100, "{}: only {} alerts", s.name, s.alerts);
             assert!(s.alerts_per_sec > 0.0, "{}", s.name);
-            assert!(
-                (0.0..=1.0).contains(&s.warm_hit_rate),
-                "{}: hit rate {}",
-                s.name,
-                s.warm_hit_rate
-            );
             // Theorem 2 survives every regime except a leaky channel, where
             // the OSSP can only fall back to the SSE value; either way the
             // replay must stay sane.
@@ -880,18 +831,6 @@ mod tests {
             assert!(p.replay_wall_seconds > 0.0 && p.cluster_wall_seconds > 0.0);
             assert!(p.cluster_alerts_per_sec > 0.0);
         }
-        // Multi-type scenarios must actually exercise the pruning layer.
-        let multi_site = report
-            .scenarios
-            .iter()
-            .find(|s| s.name == "multi-site")
-            .expect("multi-site registered");
-        assert!(
-            multi_site.pruned_lp_fraction > 0.5,
-            "multi-site pruned fraction {:.3}",
-            multi_site.pruned_lp_fraction
-        );
-        assert!(multi_site.lp_solves_per_solve < 14.0);
 
         let json = render_suite_json(&report);
         for needle in [
@@ -903,8 +842,8 @@ mod tests {
             "\"name\": \"noisy-evidence\"",
             "\"name\": \"multi-site\"",
             "\"name\": \"metro-grid\"",
-            "\"pruned_lp_fraction\"",
-            "\"lp_solves_per_solve\"",
+            "\"mean_ossp\"",
+            "\"fraction_deterred\"",
             "\"sharding\"",
             "\"parallel_feature\"",
             "\"speedup\"",

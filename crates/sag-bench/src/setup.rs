@@ -8,7 +8,6 @@
 
 use sag_core::model::{GameConfig, PayoffTable, Payoffs};
 use sag_core::sse::SseInput;
-use sag_lp::{LpProblem, Objective, Relation};
 
 /// Budget used by the single-type per-alert benches (the paper's Figure 2
 /// game, mid-day).
@@ -67,54 +66,6 @@ pub fn synthetic_game(n: usize) -> (PayoffTable, Vec<f64>, Vec<f64>) {
         synthetic_costs(n),
         synthetic_estimates(n),
     )
-}
-
-/// A candidate-LP-shaped program — the exact shape of the SSE solver's
-/// LP (2): `n` budget-allocation variables bounded by the budget and the
-/// coverage saturation point, one attacker best-response constraint per
-/// non-candidate type, and the shared budget row. The candidate is the type
-/// with the largest uncovered attacker payoff, so the program is feasible at
-/// zero coverage and the simplex earns its keep walking the budget up
-/// through the binding best-response constraints.
-///
-/// `step` perturbs the budget deterministically so consecutive calls produce
-/// distinct (but structurally identical) programs, like consecutive alerts
-/// in a replay.
-#[must_use]
-pub fn candidate_lp(n: usize, step: usize) -> LpProblem {
-    assert!(n >= 2, "a candidate LP needs at least two types");
-    // Paper-like magnitudes with deterministic per-type variation. The ramps
-    // are monotone in `t`, so type `n - 1` maximizes the uncovered attacker
-    // payoff and is the always-feasible candidate.
-    let attacker_covered = |t: usize| -2000.0 - 25.0 * t as f64;
-    let attacker_uncovered = |t: usize| 400.0 + 18.0 * t as f64;
-    let rate = |t: usize| 1.0 / (20.0 + 3.5 * (t % 29) as f64);
-    let budget = 0.45 * n as f64 + 0.35 * (step % 17) as f64;
-    let candidate = n - 1;
-
-    let mut lp = LpProblem::new(Objective::Maximize);
-    let vars: Vec<_> = (0..n)
-        .map(|t| lp.add_var(format!("B{t}"), 0.0, budget.min(1.0 / rate(t))))
-        .collect();
-    // Marginal auditor gain of covering the candidate type.
-    lp.set_objective(
-        vars[candidate],
-        rate(candidate) * (2400.0 + 40.0 * (candidate % 29) as f64),
-    );
-    let cand_slope =
-        rate(candidate) * (attacker_covered(candidate) - attacker_uncovered(candidate));
-    for t in 0..n - 1 {
-        let other_slope = rate(t) * (attacker_covered(t) - attacker_uncovered(t));
-        // other_slope·B_t − cand_slope·B_c ≤ Ua,u[c] − Ua,u[t]
-        lp.add_constraint(
-            &[(vars[t], other_slope), (vars[candidate], -cand_slope)],
-            Relation::Le,
-            attacker_uncovered(candidate) - attacker_uncovered(t),
-        );
-    }
-    let budget_terms: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    lp.add_constraint(&budget_terms, Relation::Le, budget);
-    lp
 }
 
 /// Borrow a synthetic workload as an [`SseInput`].

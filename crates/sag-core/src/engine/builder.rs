@@ -6,9 +6,9 @@
 //! ([`paper_single_type`](EngineBuilder::paper_single_type),
 //! [`paper_multi_type`](EngineBuilder::paper_multi_type)), chain the knobs
 //! you want to move, and [`build`](EngineBuilder::build). Every knob is
-//! checked at build time — a typo'd decay or a backend that cannot solve
-//! the game fails here, as a structured [`crate::ConfigError`], not deep
-//! inside a replay.
+//! checked at build time — a typo'd decay or an out-of-range noise level
+//! fails here, as a structured [`crate::ConfigError`], not deep inside a
+//! replay.
 
 use super::config::{BudgetAccounting, EngineConfig};
 use super::session::AuditCycleEngine;
@@ -56,7 +56,7 @@ pub struct EngineBuilder {
 impl EngineBuilder {
     /// Start from an explicit game with the paper's default knobs (uniform
     /// forecast pooling, expected-cost accounting, perfect signal channel,
-    /// automatic backend dispatch, pruning on).
+    /// the sweep backend).
     #[must_use]
     pub fn new(game: GameConfig) -> Self {
         EngineBuilder {
@@ -126,21 +126,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether cached SSE solves use incremental candidate pruning.
-    #[must_use]
-    pub fn pruning(mut self, pruning: bool) -> Self {
-        self.config.pruning = pruning;
-        self
-    }
-
-    /// ε-approximate solve tolerance (auditor-utility units); `0.0` is the
-    /// exact mode. Must be finite and nonnegative.
-    #[must_use]
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.config.epsilon = epsilon;
-        self
-    }
-
     /// Validate the accumulated configuration and return it without
     /// constructing an engine (scenario definitions and tests use this).
     ///
@@ -195,8 +180,6 @@ mod tests {
             .forecast_decay(0.85)
             .signal_noise(0.1)
             .backend(SolverBackendKind::SimplexLp)
-            .pruning(false)
-            .epsilon(0.25)
             .accounting(BudgetAccounting::Sampled { seed: 3 })
             .build_config()
             .unwrap();
@@ -204,8 +187,6 @@ mod tests {
         assert_eq!(config.forecast_decay, 0.85);
         assert_eq!(config.signal_noise, 0.1);
         assert_eq!(config.backend, SolverBackendKind::SimplexLp);
-        assert!(!config.pruning);
-        assert_eq!(config.epsilon, 0.25);
         assert_eq!(config.accounting, BudgetAccounting::Sampled { seed: 3 });
     }
 
@@ -221,21 +202,6 @@ mod tests {
         assert!(matches!(
             EngineBuilder::paper_multi_type().budget(-1.0).build(),
             Err(SagError::InvalidConfig(ConfigError::InvalidBudget { .. }))
-        ));
-        assert!(matches!(
-            EngineBuilder::paper_multi_type().epsilon(-0.5).build(),
-            Err(SagError::InvalidConfig(
-                ConfigError::EpsilonOutOfRange { .. }
-            ))
-        ));
-        assert!(matches!(
-            EngineBuilder::paper_multi_type()
-                .backend(SolverBackendKind::ClosedForm)
-                .build(),
-            Err(SagError::InvalidConfig(ConfigError::UnsupportedBackend {
-                num_types: 7,
-                ..
-            }))
         ));
     }
 

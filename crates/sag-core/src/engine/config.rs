@@ -43,29 +43,15 @@ pub struct EngineConfig {
     /// Which [`crate::sse::SolverBackend`] every [`crate::engine::DaySession`]
     /// solves through. The default, [`SolverBackendKind::Auto`], is the
     /// exact breakpoint sweep (the closed form for single-type games);
-    /// [`SolverBackendKind::SimplexLp`] is the paper's warm-started
-    /// multiple-LP method, kept as the oracle.
+    /// [`SolverBackendKind::SimplexLp`] is the paper's multiple-LP method,
+    /// kept as the oracle.
     pub backend: SolverBackendKind,
-    /// Whether the simplex-LP backend's cached solves use incremental
-    /// candidate pruning (skip candidate LPs whose re-priced dual bound
-    /// proves they cannot beat the incumbent winner). `true` by default.
-    /// The winner and its utilities are identical either way — pruning only
-    /// skips provably losing candidates — and on every registered workload
-    /// the full solution is bitwise-identical too (see the invariant and
-    /// its degenerate-LP caveat in [`crate::sse`]); the switch exists for
-    /// the equivalence tests and benchmarks, not as a behavioural knob. A
-    /// no-op on the sweep and closed-form backends, which solve no LPs.
+    /// Ignored: both backends solve every candidate exactly, so there is
+    /// nothing to prune. Kept so existing configurations still compile.
     pub pruning: bool,
-    /// ε-approximate solve tolerance of the simplex-LP backend
-    /// (auditor-utility units). With `epsilon > 0.0` (and pruning on),
-    /// cached SSE solves may also skip candidate LPs whose certified
-    /// re-priced bound exceeds the incumbent by at most ε; the accumulated
-    /// per-day utility-loss bound is surfaced as
-    /// [`crate::engine::CycleResult::certified_eps_loss`]. `0.0` (the
-    /// default) is the exact mode and is bitwise-identical to it — results
-    /// *and* work counters. A no-op on the sweep and closed-form backends:
-    /// they are exact, so they already meet any ε bound and certify a loss
-    /// of 0. Must be finite and nonnegative.
+    /// Ignored: both backends are exact, so
+    /// [`crate::engine::CycleResult::certified_eps_loss`] always reads 0.0.
+    /// Kept so existing configurations still compile.
     pub epsilon: f64,
 }
 
@@ -111,19 +97,6 @@ impl EngineConfig {
         if !(self.signal_noise >= 0.0 && self.signal_noise <= 1.0) {
             return Err(ConfigError::SignalNoiseOutOfRange {
                 value: self.signal_noise,
-            }
-            .into());
-        }
-        if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
-            return Err(ConfigError::EpsilonOutOfRange {
-                value: self.epsilon,
-            }
-            .into());
-        }
-        if !self.backend.supports(self.game.num_types()) {
-            return Err(ConfigError::UnsupportedBackend {
-                backend: self.backend,
-                num_types: self.game.num_types(),
             }
             .into());
         }

@@ -26,10 +26,9 @@
 //! signal-conditional cost as the paper describes.
 //!
 //! Equilibria are solved through the [`crate::sse::SolverBackend`] seam —
-//! the exact breakpoint sweep by default, the warm-started simplex-LP
-//! oracle or the single-type closed form on request, selectable on
-//! [`EngineConfig::backend`] — so alternative solver strategies slot in
-//! without touching the per-day loop.
+//! the exact breakpoint sweep by default, the cold simplex-LP oracle on
+//! request, selectable on [`EngineConfig::backend`] — so alternative solver
+//! strategies slot in without touching the per-day loop.
 //!
 //! ## Module layout
 //!
@@ -63,7 +62,7 @@ pub use session::{AuditCycleEngine, DaySession, OwnedDaySession, Session};
 mod tests {
     use super::*;
     use crate::sse::SolverBackendKind;
-    use sag_sim::{Alert, AlertLog, AlertTypeId, DayLog, StreamConfig, StreamGenerator, TimeOfDay};
+    use sag_sim::{AlertLog, DayLog, StreamConfig, StreamGenerator};
 
     fn single_type_setup(seed: u64) -> (Vec<DayLog>, DayLog) {
         let mut gen = StreamGenerator::new(StreamConfig::paper_single_type(seed));
@@ -185,20 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_backend_is_rejected_for_multi_type_games() {
-        let mut config = EngineConfig::paper_multi_type();
-        config.backend = SolverBackendKind::ClosedForm;
-        assert!(matches!(
-            AuditCycleEngine::new(config),
-            Err(crate::SagError::InvalidConfig(_))
-        ));
-        // On the single-type game it is a valid choice.
-        let mut config = EngineConfig::paper_single_type();
-        config.backend = SolverBackendKind::ClosedForm;
-        assert!(AuditCycleEngine::new(config).is_ok());
-    }
-
-    #[test]
     fn run_groups_matches_paper_group_count() {
         let mut gen = StreamGenerator::new(StreamConfig::paper_single_type(3));
         let days = gen.generate_days(25);
@@ -295,25 +280,6 @@ mod tests {
         let by_ref: DaySession<'_> = Session::open(&*engine, &history, None).unwrap();
         assert_eq!(by_ref.alerts_processed(), 0);
         assert_eq!(by_ref.engine().config().game.num_types(), 7);
-    }
-
-    #[test]
-    fn closed_form_backend_streams_single_type_days() {
-        let (history, test_day) = single_type_setup(37);
-        let auto = AuditCycleEngine::new(EngineConfig::paper_single_type())
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
-        let mut config = EngineConfig::paper_single_type();
-        config.backend = SolverBackendKind::ClosedForm;
-        let closed = AuditCycleEngine::new(config)
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
-        // Auto dispatches single-type games to the same closed form.
-        assert_eq!(closed.sse_totals.lp_solves, 0);
-        assert_eq!(closed.sse_totals.fast_path_solves as usize, closed.len());
-        assert_eq!(untimed(auto), untimed(closed));
     }
 
     #[test]
@@ -499,40 +465,99 @@ mod tests {
     #[test]
     fn replay_records_warm_start_and_pivot_statistics() {
         let (history, test_day) = multi_type_setup(23);
+        let auto = AuditCycleEngine::new(EngineConfig::paper_multi_type())
+            .unwrap()
+            .run_day(&history, &test_day)
+            .unwrap();
+        // The sweep solves every alert without an LP.
+        assert_eq!(auto.sse_totals.solves as usize, auto.len());
+        assert_eq!(auto.sse_totals.fast_path_solves, auto.sse_totals.solves);
+        assert_eq!(auto.sse_totals.lp_solves, 0);
+
         let mut config = EngineConfig::paper_multi_type();
         config.backend = SolverBackendKind::SimplexLp;
-        let engine = AuditCycleEngine::new(config).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
-        let totals = result.sse_totals;
-        assert_eq!(totals.solves as usize, result.len());
-        assert!(
-            totals.lp_solves >= totals.solves,
-            "7-type game solves 7 LPs per alert"
-        );
-        // From the second alert on, every candidate LP has a warm basis.
-        assert!(totals.warm_attempts > 0);
-        assert!(
-            totals.warm_hit_rate() > 0.5,
-            "warm-start hit rate {:.3} unexpectedly low",
-            totals.warm_hit_rate()
-        );
-        // Per-alert stats are populated too.
-        assert!(result.outcomes[0].sse_stats.lp_solves > 0);
-        assert!(result
+        let lp = AuditCycleEngine::new(config)
+            .unwrap()
+            .run_day(&history, &test_day)
+            .unwrap();
+        let totals = lp.sse_totals;
+        assert_eq!(totals.solves as usize, lp.len());
+        // The cold oracle solves one LP per candidate type on every alert.
+        assert_eq!(totals.lp_solves, 7 * totals.solves);
+        assert!(totals.pivots > 0);
+        assert_eq!(totals.fast_path_solves, 0);
+        // Every solve is cold: the warm-start counters stay at zero.
+        assert_eq!((totals.warm_attempts, totals.warm_hits), (0, 0));
+        // Per-alert stats add up to the day's totals.
+        let pivots: u64 = lp
             .outcomes
             .iter()
-            .skip(1)
-            .any(|o| o.sse_stats.warm_hits > 0));
+            .map(|o| u64::from(o.sse_stats.pivots))
+            .sum();
+        assert_eq!(pivots, totals.pivots);
     }
 
     #[test]
-    fn solve_alert_exposes_per_alert_pipeline() {
-        let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-        let alert = Alert::benign(0, TimeOfDay::from_hms(10, 0, 0), AlertTypeId(2));
-        let estimates = vec![100.0, 20.0, 80.0, 8.0, 15.0, 10.0, 25.0];
-        let (sse, scheme, utility) = engine.solve_alert(&alert, &estimates, 50.0).unwrap();
-        assert_eq!(sse.coverage.len(), 7);
-        assert!(scheme.is_valid());
-        assert!(utility <= 1e-9, "OSSP utility is never positive: {utility}");
+    fn pruning_and_epsilon_are_ignored_shims() {
+        let (history, test_day) = multi_type_setup(31);
+        for backend in [SolverBackendKind::Auto, SolverBackendKind::SimplexLp] {
+            let mut config = EngineConfig::paper_multi_type();
+            config.backend = backend;
+            let reference = untimed(
+                AuditCycleEngine::new(config.clone())
+                    .unwrap()
+                    .run_day(&history, &test_day)
+                    .unwrap(),
+            );
+            config.pruning = false;
+            config.epsilon = 5.0;
+            let shimmed = untimed(
+                AuditCycleEngine::new(config)
+                    .unwrap()
+                    .run_day(&history, &test_day)
+                    .unwrap(),
+            );
+            assert_eq!(shimmed, reference, "backend {backend:?}");
+            assert_eq!(shimmed.certified_eps_loss, 0.0);
+            let t = shimmed.sse_totals;
+            assert_eq!(
+                (
+                    t.warm_attempts,
+                    t.warm_hits,
+                    t.pruned_lps,
+                    t.eps_skipped_lps
+                ),
+                (0, 0, 0, 0)
+            );
+            assert!(shimmed.outcomes.iter().all(|o| {
+                let s = o.sse_stats;
+                (
+                    s.warm_attempts,
+                    s.warm_hits,
+                    s.pruned_lps,
+                    s.eps_skipped_lps,
+                ) == (0, 0, 0, 0)
+            }));
+        }
+
+        // Whatever options a backend is instantiated with, it solves alike.
+        let game = crate::model::GameConfig::paper_multi_type();
+        let estimates = [196.57, 29.02, 140.46, 10.84, 25.43, 15.14, 43.27];
+        let input = crate::sse::SseInput {
+            payoffs: &game.payoffs,
+            audit_costs: &game.audit_costs,
+            future_estimates: &estimates,
+            budget: 30.0,
+        };
+        let options = crate::sse::BackendOptions {
+            pruning: false,
+            epsilon: 5.0,
+            pool: Some(std::sync::Arc::new(sag_pool::WorkerPool::new(2))),
+        };
+        for kind in [SolverBackendKind::Auto, SolverBackendKind::SimplexLp] {
+            let plain = kind.instantiate().solve(&input).unwrap();
+            let shimmed = kind.instantiate_with(&options).solve(&input).unwrap();
+            assert_eq!(plain, shimmed, "backend {kind:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Per-alert and per-day result types of the streaming engine.
 
 use crate::scheme::SignalingScheme;
-use crate::sse::{SseCacheTotals, SseSolveStats};
+use crate::sse::{SseSolveStats, SseTotals};
 use sag_sim::{AlertTypeId, TimeOfDay};
 
 /// Everything the engine recorded about one processed alert.
@@ -47,7 +47,7 @@ pub struct AlertOutcome {
     /// microseconds (the per-alert optimization cost the paper reports).
     pub solve_micros: u64,
     /// Solver-work statistics of the OSSP-world SSE computation for this
-    /// alert (LPs solved, warm-start hits, simplex pivots).
+    /// alert (LPs solved, simplex pivots).
     pub sse_stats: SseSolveStats,
 }
 
@@ -64,14 +64,11 @@ pub struct CycleResult {
     pub offline_attacker_utility: f64,
     /// Offline coverage per type.
     pub offline_coverage: Vec<f64>,
-    /// Aggregate solver work of the OSSP-world SSE cache over this day
-    /// (solves, warm-start attempts/hits, pivots).
-    pub sse_totals: SseCacheTotals,
-    /// Certified upper bound on the auditor utility given up by the
-    /// ε-approximate solve mode over this day (OSSP world), summed across
-    /// the day's solves. Exactly `0.0` when the engine runs exact
-    /// (`epsilon = 0.0`); with `epsilon > 0` the bound is at most
-    /// `epsilon × sse_totals.solves`.
+    /// Aggregate solver work of the OSSP-world SSE solves over this day
+    /// (solves, LPs, pivots).
+    pub sse_totals: SseTotals,
+    /// Always `0.0`: every solve is exact, so no utility is given up. The
+    /// wire and WAL formats carry the field.
     pub certified_eps_loss: f64,
 }
 

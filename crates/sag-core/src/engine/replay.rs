@@ -110,14 +110,13 @@ impl AuditCycleEngine {
     }
 
     /// Replay a batch of day jobs partitioned into `shards` contiguous
-    /// shards. Each shard owns its own solver backends (simplex workspaces
-    /// and cached candidate LPs), streams its jobs' days sequentially, and —
+    /// shards. Each shard owns its own solver backends (and their scratch
+    /// buffers), streams its jobs' days sequentially, and —
     /// with the `parallel` feature, on a multi-core host — runs as a task
     /// on the engine's persistent [`sag_pool::WorkerPool`] (spawned once at
     /// engine construction, never per call).
     ///
-    /// Every day's session starts from a cold warm-start state (see
-    /// [`crate::sse::SolverBackend::reset_warm_state`]), which makes each
+    /// Backends keep no state between solves, which makes each
     /// [`CycleResult`] a pure function of its job: the output is **bitwise
     /// identical** for every shard count, with or without the `parallel`
     /// feature. Sharding therefore only changes wall-clock time, never
@@ -194,7 +193,7 @@ impl AuditCycleEngine {
 
     /// Stream one job's test day through a [`super::DaySession`], reusing
     /// the shard's backend pair (`None` on first use allocates a fresh
-    /// pair; the session resets its warm-start state either way).
+    /// pair).
     fn stream_job(
         &self,
         job: &ReplayJob<'_>,

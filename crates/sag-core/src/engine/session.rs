@@ -29,10 +29,7 @@ use super::outcome::{AlertOutcome, CycleResult};
 use crate::offline::OfflineSse;
 use crate::scheme::SignalingScheme;
 use crate::signaling::{evaluate_scheme_under_noise, ossp_closed_form};
-use crate::sse::{
-    BackendOptions, SolverBackend, SolverBackendKind, SseCache, SseCacheTotals, SseInput,
-    SseSolution, SseSolver,
-};
+use crate::sse::{SolverBackend, SseInput, SseTotals};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,27 +40,23 @@ use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// The audit-cycle engine: a validated configuration, the solver used by
-/// the low-level per-alert entry points, and (with the `parallel` feature,
-/// on multi-core hosts) a persistent worker pool spawned **once** — lazily,
-/// the first time a sharded replay or the simplex-LP backend's many-type
-/// candidate fan-out asks for it — and shared by the engine and all its clones, replacing the
-/// per-call `std::thread::scope` spawns of earlier revisions. Day-scoped
-/// state lives on the [`DaySession`]s the engine opens.
+/// The audit-cycle engine: a validated configuration and (with the
+/// `parallel` feature, on multi-core hosts) a persistent worker pool
+/// spawned **once** — lazily, the first time a sharded replay asks for it —
+/// and shared by the engine and all its clones. Day-scoped state lives on
+/// the [`DaySession`]s the engine opens.
 #[derive(Debug, Clone)]
 pub struct AuditCycleEngine {
     pub(super) config: EngineConfig,
-    solver: SseSolver,
     /// Lazily spawned worker pool, shared across engine clones. Engines
-    /// whose workloads never fan out (no simplex-LP backend on a many-type
-    /// game, no sharded replays) never spawn a thread.
+    /// that never run a sharded replay never spawn a thread.
     pool: Arc<OnceLock<Option<Arc<WorkerPool>>>>,
 }
 
-/// The two solver backends of one day session: the OSSP world and the
-/// online-SSE world consume budget differently, so each keeps its own
-/// warm-start trail. Reused across the days of a replay shard so the
-/// steady state stays allocation-free.
+/// The two solver backends of one day session, one per world (the OSSP
+/// world and the online-SSE world consume budget differently). Backends
+/// keep only scratch buffers; the pair is reused across the days of a
+/// replay shard so the steady state stays allocation-free.
 #[derive(Debug)]
 pub(super) struct SessionBackends {
     pub(super) ossp: Box<dyn SolverBackend>,
@@ -71,13 +64,11 @@ pub(super) struct SessionBackends {
 }
 
 impl SessionBackends {
-    /// Instantiate both worlds' backends from the engine's configured kind,
-    /// pruning mode and (shared) worker pool.
+    /// Instantiate both worlds' backends of the engine's configured kind.
     pub(super) fn for_engine(engine: &AuditCycleEngine) -> Self {
-        let options = engine.backend_options();
         SessionBackends {
-            ossp: engine.config.backend.instantiate_with(&options),
-            online: engine.config.backend.instantiate_with(&options),
+            ossp: engine.config.backend.instantiate(),
+            online: engine.config.backend.instantiate(),
         }
     }
 }
@@ -106,11 +97,8 @@ pub struct Session<E: Borrow<AuditCycleEngine>> {
     budget_online: f64,
     outcomes: Vec<AlertOutcome>,
     backends: SessionBackends,
-    totals_at_open: SseCacheTotals,
-    /// OSSP backend's cumulative certified ε loss when the session opened,
-    /// so `finish` can attribute exactly this day's loss (the backend is
-    /// reused across the days of a replay shard, like the totals).
-    eps_loss_at_open: f64,
+    /// Solver work of this day's OSSP-world solves.
+    totals: SseTotals,
     /// Reusable per-alert estimate buffer (one forecast vector per push).
     estimates: Vec<f64>,
     /// Day index reported on the [`CycleResult`]; pinned by
@@ -135,14 +123,11 @@ impl AuditCycleEngine {
     /// # Errors
     ///
     /// Returns [`crate::SagError::InvalidConfig`] for inconsistent
-    /// configurations (including a solver backend that does not support the
-    /// game's type count).
+    /// configurations.
     pub fn new(config: EngineConfig) -> Result<Self> {
         config.validate()?;
-        let solver = SseSolver::with_options(config.pruning, config.epsilon);
         Ok(AuditCycleEngine {
             config,
-            solver,
             pool: Arc::new(OnceLock::new()),
         })
     }
@@ -166,24 +151,6 @@ impl AuditCycleEngine {
     /// share one pool through the `Arc<OnceLock>`).
     pub(super) fn pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.get_or_init(Self::spawn_pool).as_ref()
-    }
-
-    /// The backend options this engine instantiates session backends with.
-    /// The pool is only handed out (and hence only spawned) to the
-    /// simplex-LP backend, and only when the game has enough types for its
-    /// candidate fan-out to ever run.
-    fn backend_options(&self) -> BackendOptions {
-        let wants_fan_out = self.config.backend == SolverBackendKind::SimplexLp
-            && self.config.game.num_types() >= crate::sse::solver::PARALLEL_MIN_TYPES;
-        BackendOptions {
-            pruning: self.config.pruning,
-            epsilon: self.config.epsilon,
-            pool: if wants_fan_out {
-                self.pool().cloned()
-            } else {
-                None
-            },
-        }
     }
 
     /// The engine configuration.
@@ -225,10 +192,8 @@ impl AuditCycleEngine {
     }
 
     /// [`open_day`](Self::open_day) over caller-provided backends, so replay
-    /// drivers can reuse one pair of backends (allocated workspaces, cached
-    /// candidate LPs) across the days of a shard. The backends' warm-start
-    /// state is reset on entry: day boundaries start cold, which keeps every
-    /// session a pure function of its own inputs.
+    /// drivers can reuse one pair of backends (and their scratch buffers)
+    /// across the days of a shard.
     pub(super) fn open_day_with(
         &self,
         history: &[DayLog],
@@ -236,44 +201,6 @@ impl AuditCycleEngine {
         backends: SessionBackends,
     ) -> Result<DaySession<'_>> {
         Session::open_with(self, history, budget, backends)
-    }
-
-    /// Process a single alert against explicit estimates and budget — the
-    /// low-level entry point used by benchmarks and the runtime experiment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSE solver errors.
-    pub fn solve_alert(
-        &self,
-        alert: &Alert,
-        estimates: &[f64],
-        remaining_budget: f64,
-    ) -> Result<(SseSolution, SignalingScheme, f64)> {
-        let sse = self
-            .solver
-            .solve(&self.sse_input(estimates, remaining_budget))?;
-        Ok(self.apply_ossp(alert, sse))
-    }
-
-    /// Like [`solve_alert`](Self::solve_alert) but warm-started from `cache`
-    /// — the per-alert hot path for callers that manage their own solver
-    /// state instead of a [`DaySession`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSE solver errors.
-    pub fn solve_alert_cached(
-        &self,
-        alert: &Alert,
-        estimates: &[f64],
-        remaining_budget: f64,
-        cache: &mut SseCache,
-    ) -> Result<(SseSolution, SignalingScheme, f64)> {
-        let sse = self
-            .solver
-            .solve_cached(&self.sse_input(estimates, remaining_budget), cache)?;
-        Ok(self.apply_ossp(alert, sse))
     }
 
     /// Borrow the game data as an [`SseInput`] for the given forecast and
@@ -286,15 +213,6 @@ impl AuditCycleEngine {
             future_estimates: estimates,
             budget,
         }
-    }
-
-    /// The OSSP tail of the per-alert pipeline: derive the triggered type's
-    /// coverage from the SSE and compute its optimal signaling scheme.
-    fn apply_ossp(&self, alert: &Alert, sse: SseSolution) -> (SseSolution, SignalingScheme, f64) {
-        let payoffs = self.config.game.payoffs.get(alert.type_id);
-        let theta = sse.coverage_of(alert.type_id);
-        let ossp = ossp_closed_form(payoffs, theta);
-        (sse, ossp.scheme, ossp.auditor_utility)
     }
 }
 
@@ -317,18 +235,15 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     }
 
     /// [`open`](Self::open) over caller-provided backends (replay drivers
-    /// reuse one pair across the days of a shard). The backends' warm-start
-    /// state is reset on entry: day boundaries start cold, which keeps every
-    /// session a pure function of its own inputs.
+    /// reuse one pair across the days of a shard). Backends are stateless
+    /// between solves, so every session stays a pure function of its own
+    /// inputs.
     pub(super) fn open_with(
         engine: E,
         history: &[DayLog],
         budget: Option<f64>,
-        mut backends: SessionBackends,
+        backends: SessionBackends,
     ) -> Result<Self> {
-        backends.ossp.reset_warm_state();
-        backends.online.reset_warm_state();
-
         if let Some(budget) = budget {
             super::replay::validate_budget(budget)?;
         }
@@ -350,8 +265,6 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             BudgetAccounting::Expected => None,
         };
 
-        let totals_at_open = backends.ossp.totals();
-        let eps_loss_at_open = backends.ossp.certified_eps_loss();
         Ok(Session {
             engine,
             estimator,
@@ -361,8 +274,7 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             budget_online: cycle_budget,
             outcomes: Vec::new(),
             backends,
-            totals_at_open,
-            eps_loss_at_open,
+            totals: SseTotals::default(),
             estimates: Vec::new(),
             day: None,
         })
@@ -433,6 +345,7 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             .backends
             .ossp
             .solve(&engine.sse_input(&self.estimates, self.budget_ossp))?;
+        self.totals.record(&sse_ossp.stats);
         let type_payoffs = game.payoffs.get(alert.type_id);
         let coverage_ossp = sse_ossp.coverage_of(alert.type_id);
         let ossp_applied = alert.type_id == sse_ossp.best_response;
@@ -548,8 +461,8 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             offline_coverage: (0..n)
                 .map(|t| self.offline.coverage_of(AlertTypeId(t as u16)))
                 .collect(),
-            sse_totals: self.backends.ossp.totals().since(&self.totals_at_open),
-            certified_eps_loss: self.backends.ossp.certified_eps_loss() - self.eps_loss_at_open,
+            sse_totals: self.totals,
+            certified_eps_loss: 0.0,
         };
         (result, self.backends)
     }

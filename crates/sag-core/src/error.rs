@@ -2,15 +2,13 @@
 //! [`ConfigError`] it carries for configuration problems.
 //!
 //! Every validation failure in the workspace — a malformed game, an
-//! out-of-range engine knob, a backend that cannot solve the configured
-//! game — is reported as a typed [`ConfigError`] variant rather than a
+//! out-of-range engine knob — is reported as a typed [`ConfigError`] variant rather than a
 //! formatted string, so front doors (the `sag-service` crate, the `sag`
 //! facade) can route on the cause programmatically. Both enums are
 //! `#[non_exhaustive]`: downstream matches must carry a wildcard arm, which
 //! lets later PRs grow the taxonomy without a breaking release.
 
 use crate::model::Payoffs;
-use crate::sse::SolverBackendKind;
 use std::fmt;
 
 /// A structured description of why a configuration was rejected.
@@ -70,19 +68,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// `epsilon` is negative or non-finite.
-    EpsilonOutOfRange {
-        /// The rejected value.
-        value: f64,
-    },
-    /// The selected solver backend cannot solve a game with this type count
-    /// (e.g. the closed-form backend on a multi-type game).
-    UnsupportedBackend {
-        /// The selected backend kind.
-        backend: SolverBackendKind,
-        /// The game's type count.
-        num_types: usize,
-    },
     /// The Bayesian solver was given no attacker profiles.
     NoAttackerProfiles,
     /// An attacker profile's prior is non-finite or negative.
@@ -132,13 +117,6 @@ impl fmt::Display for ConfigError {
             ConfigError::SignalNoiseOutOfRange { value } => {
                 write!(f, "signal_noise must be in [0, 1], got {value}")
             }
-            ConfigError::EpsilonOutOfRange { value } => {
-                write!(f, "epsilon must be finite and nonnegative, got {value}")
-            }
-            ConfigError::UnsupportedBackend { backend, num_types } => write!(
-                f,
-                "solver backend {backend:?} does not support a {num_types}-type game"
-            ),
             ConfigError::NoAttackerProfiles => write!(f, "no attacker profiles"),
             ConfigError::InvalidPrior { value } => write!(
                 f,

@@ -169,14 +169,13 @@ fn attack_level(payoffs: &[Payoffs], rates: &[f64], budget: f64, order: &mut Vec
 }
 
 /// The breakpoint sweep as a [`super::SolverBackend`]
-/// ([`super::SolverBackendKind::Auto`]): exact, with no warm-start state —
-/// every solve is a pure function of its input. It keeps only scratch (the
-/// coverage rates, the sort order and one recycled solution's buffers), so
-/// the per-alert steady state allocates nothing. Every solve counts as a
-/// fast-path solve; no LP is ever built.
+/// ([`super::SolverBackendKind::Auto`]): exact, and every solve is a pure
+/// function of its input. It keeps only scratch (the coverage rates, the
+/// sort order and one recycled solution's buffers), so the per-alert steady
+/// state allocates nothing. Every solve is a fast-path solve; no LP is ever
+/// built.
 #[derive(Debug, Clone, Default)]
 pub struct SweepBackend {
-    totals: super::SseCacheTotals,
     rates: Vec<f64>,
     order: Vec<usize>,
     spare: Option<(Vec<f64>, Vec<f64>)>,
@@ -199,18 +198,7 @@ impl super::SolverBackend for SweepBackend {
         input.validate()?;
         SseSolver::coverage_rates_into(input, &mut self.rates);
         let buffers = self.spare.take().unwrap_or_default();
-        let solution = solve_into(input, &self.rates, &mut self.order, buffers);
-        self.totals.solves += 1;
-        self.totals.fast_path_solves += 1;
-        Ok(solution)
-    }
-
-    fn reset_warm_state(&mut self) {
-        // Stateless between solves: nothing to forget.
-    }
-
-    fn totals(&self) -> super::SseCacheTotals {
-        self.totals
+        Ok(solve_into(input, &self.rates, &mut self.order, buffers))
     }
 
     fn recycle(&mut self, solution: SseSolution) {
@@ -276,12 +264,10 @@ mod tests {
         let probe = input(&payoffs, &costs, &TABLE1, 40.0);
         let first = backend.solve(&probe).unwrap();
         backend.recycle(first.clone());
-        backend.reset_warm_state();
         let second = backend.solve(&probe).unwrap();
         assert_eq!(first, second);
         assert_eq!(second, solve(&probe).unwrap());
-        let totals = backend.totals();
-        assert_eq!((totals.solves, totals.fast_path_solves), (2, 2));
-        assert_eq!(totals.lp_solves, 0);
+        assert!(second.stats.fast_path);
+        assert_eq!(second.stats.lp_solves, 0);
     }
 }

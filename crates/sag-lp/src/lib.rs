@@ -9,23 +9,15 @@
 //! * **LP (3)** — the Online Stackelberg Signaling Policy (OSSP): four joint
 //!   signaling/auditing probabilities and three constraints.
 //!
-//! These programs are tiny but must be solved thousands of times per audit
-//! cycle, online, with strict latency requirements (the paper reports ~0.02 s
-//! per alert on a 2017 laptop, and the whole point of the mechanism is that
-//! the warning pop-up is imperceptible to the user). Rather than pulling in a
-//! heavyweight external solver, this crate implements a dense **two-phase
-//! primal simplex** with Bland's anti-cycling rule, which is exact and
-//! extremely fast at this problem size.
-//!
-//! Two kernels run that method: the blocked, cache-friendly
-//! [`SimplexWorkspace`] (the production path — fixed-width chunked pricing
-//! and elimination loops that stable `rustc` autovectorizes, plus optional
-//! [`Pricing::Dantzig`] entering-variable selection with an automatic Bland
-//! stall fallback) and the frozen scalar [`ReferenceWorkspace`] it replaced,
-//! kept as a differential-testing oracle. Under the default
-//! [`Pricing::Bland`] rule the two are **bitwise identical** — same pivot
-//! sequence, same accumulation order, same result bits — which the
-//! property suite in `tests/property.rs` enforces on randomized programs.
+//! These programs are tiny. The served path answers LP (2) without a
+//! simplex — `sag-core`'s exact breakpoint sweep solves every candidate at
+//! once — so this crate serves as the oracle the sweep is tested against,
+//! as the solver of LP (3) when the OSSP closed form does not apply, and as
+//! the solver of the Bayesian extension. Rather than pulling in a
+//! heavyweight external solver, it implements a dense **two-phase primal
+//! simplex** with Bland's anti-cycling rule, which is exact and fast at this
+//! problem size. A reusable [`SimplexWorkspace`] holds the tableau between
+//! solves; every solve is cold and deterministic.
 //!
 //! ## Quick start
 //!
@@ -48,7 +40,7 @@
 //! ## Scope and guarantees
 //!
 //! * Dense representation; intended for problems with at most a few hundred
-//!   variables/constraints (the SAG uses ≤ 10 of each).
+//!   variables/constraints (the paper's games use ≤ 10 of each).
 //! * Finite or infinite variable bounds, `≤ / ≥ / =` constraints,
 //!   maximization or minimization.
 //! * Detects infeasibility and unboundedness and reports them as typed errors.
@@ -58,15 +50,13 @@
 
 mod error;
 mod problem;
-mod reference;
 mod simplex;
 mod solution;
 mod standard;
 
 pub use error::LpError;
 pub use problem::{Constraint, LpProblem, Objective, Relation, VarId};
-pub use reference::ReferenceWorkspace;
-pub use simplex::{Pricing, SimplexWorkspace};
+pub use simplex::SimplexWorkspace;
 pub use solution::{LpSolution, SolveStats};
 pub use standard::StandardForm;
 

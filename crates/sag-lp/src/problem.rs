@@ -128,20 +128,6 @@ impl LpProblem {
         self.variables[var.0].objective = coeff;
     }
 
-    /// Update the bounds of an existing variable. Used by hot paths that
-    /// cache a problem and rewrite its numbers in place instead of
-    /// rebuilding it (the structure — variables, constraints, relations —
-    /// must stay fixed for basis warm-starting to apply).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle does not belong to this problem.
-    pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        let v = &mut self.variables[var.0];
-        v.lower = lower;
-        v.upper = upper;
-    }
-
     /// Add a constraint from sparse `(variable, coefficient)` terms.
     pub fn add_constraint(&mut self, terms: &[(VarId, f64)], relation: Relation, rhs: f64) {
         self.constraints.push(Constraint {
@@ -149,25 +135,6 @@ impl LpProblem {
             relation,
             rhs,
         });
-    }
-
-    /// Overwrite the coefficient of the `term`-th term of constraint
-    /// `constraint` (in-place counterpart of rebuilding the constraint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn set_constraint_term(&mut self, constraint: usize, term: usize, coeff: f64) {
-        self.constraints[constraint].terms[term].1 = coeff;
-    }
-
-    /// Overwrite the right-hand side of constraint `constraint`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range.
-    pub fn set_constraint_rhs(&mut self, constraint: usize, rhs: f64) {
-        self.constraints[constraint].rhs = rhs;
     }
 
     /// Number of decision variables.
@@ -291,89 +258,11 @@ impl LpProblem {
         Ok(())
     }
 
-    /// Price a certified objective bound from `duals` against the problem's
-    /// *current* data, without solving: for a maximization this returns an
-    /// **upper** bound on the optimal objective, for a minimization a
-    /// **lower** bound. `scratch` is caller-provided so hot paths pay no
-    /// allocation; its contents are overwritten.
-    ///
-    /// This is the Lagrangian-relaxation bound: for multipliers `y` with the
-    /// sign convention of [`crate::LpSolution::duals`] (enforced here by
-    /// clamping wrong-signed entries to zero, so *any* `y` — e.g. the duals
-    /// of a structurally identical problem with slightly different numbers —
-    /// yields a valid bound),
-    ///
-    /// ```text
-    /// opt ≤ y·b + Σ_j max_{x_j ∈ [l_j, u_j]} (c_j − y·A_j) x_j        (max)
-    /// ```
-    ///
-    /// and symmetrically with `min` for minimizations. When `y` is the
-    /// optimal dual of the same data the bound is tight (strong duality);
-    /// re-priced against drifted coefficients it stays valid but loosens
-    /// with the drift — exactly the property incremental solvers exploit to
-    /// skip re-solves that provably cannot beat an incumbent. A variable
-    /// whose relaxed profit is positive with an infinite upper bound makes
-    /// the bound `+∞` (maximization), i.e. "no information".
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duals.len()` differs from [`Self::num_constraints`].
-    #[must_use]
-    pub fn lagrangian_bound(&self, duals: &[f64], scratch: &mut Vec<f64>) -> f64 {
-        assert_eq!(
-            duals.len(),
-            self.constraints.len(),
-            "one dual per constraint"
-        );
-        let maximize = self.objective == Objective::Maximize;
-        // Relaxed profit per variable: c_j − Σ_i y_i a_ij, built by
-        // scattering the (sparse) constraint terms over a dense scratch.
-        scratch.clear();
-        scratch.extend(self.variables.iter().map(|v| v.objective));
-        let mut bound = 0.0;
-        for (cons, &raw) in self.constraints.iter().zip(duals) {
-            // Clamp the multiplier onto its valid half-line so numerical
-            // noise (or drifted duals) can never invalidate the bound.
-            let y = match (cons.relation, maximize) {
-                (Relation::Eq, _) => raw,
-                (Relation::Le, true) | (Relation::Ge, false) => raw.max(0.0),
-                (Relation::Ge, true) | (Relation::Le, false) => raw.min(0.0),
-            };
-            if y == 0.0 {
-                continue;
-            }
-            bound += y * cons.rhs;
-            for &(var, coeff) in &cons.terms {
-                scratch[var.0] -= y * coeff;
-            }
-        }
-        for (v, &profit) in self.variables.iter().zip(scratch.iter()) {
-            // The inner box optimum: each variable independently sits at
-            // whichever bound favours the objective direction.
-            let pick = if maximize {
-                if profit > 0.0 {
-                    v.upper
-                } else {
-                    v.lower
-                }
-            } else if profit < 0.0 {
-                v.upper
-            } else {
-                v.lower
-            };
-            if profit != 0.0 {
-                bound += profit * pick;
-            }
-        }
-        bound
-    }
-
     /// Solve the program with the two-phase simplex method.
     ///
-    /// Allocates a fresh [`SimplexWorkspace`] per call; hot paths that solve
+    /// Allocates a fresh [`SimplexWorkspace`] per call; callers that solve
     /// many programs should hold a workspace and use
-    /// [`solve_with`](Self::solve_with) or
-    /// [`solve_from_basis`](Self::solve_from_basis) instead.
+    /// [`solve_with`](Self::solve_with) instead.
     ///
     /// # Errors
     ///
@@ -383,44 +272,20 @@ impl LpProblem {
         self.solve_with(&mut SimplexWorkspace::new())
     }
 
-    /// Solve cold (two phases), reusing the buffers of `workspace`. After
-    /// the workspace has grown to the steady-state problem size, the only
-    /// per-solve allocations are the returned solution's buffers — and even
-    /// those are reused if previous solutions are handed back through
-    /// [`SimplexWorkspace::recycle`]. The workspace's
-    /// [`pricing`](SimplexWorkspace::set_pricing) rule carries over: Bland
-    /// (default, bitwise-reproducible) or Dantzig (fewer pivots on large
-    /// programs). The pivot budget behind [`LpError::IterationLimit`] scales
-    /// with the program's dimensions, so large candidate LPs cannot
-    /// spuriously trip the anti-cycling cap.
+    /// Solve, reusing the buffers of `workspace`. After the workspace has
+    /// grown to the steady-state problem size, the only per-solve
+    /// allocation is the returned solution's values — and even that is
+    /// reused if previous solutions are handed back through
+    /// [`SimplexWorkspace::recycle`]. The pivot budget behind
+    /// [`LpError::IterationLimit`] scales with the program's dimensions, so
+    /// large candidate LPs cannot spuriously trip the anti-cycling cap.
     ///
     /// # Errors
     ///
     /// Same as [`solve`](Self::solve).
     pub fn solve_with(&self, workspace: &mut SimplexWorkspace) -> Result<LpSolution> {
         self.validate()?;
-        crate::simplex::solve(self, workspace)
-    }
-
-    /// Solve warm: seed phase 2 from `basis` — the row-ordered optimal basis
-    /// of a previous solve of a *structurally identical* program (same
-    /// variables, bounds finiteness, and constraint relations; coefficients
-    /// and right-hand sides may differ). When the basis is unusable for the
-    /// new data (singular or infeasible), the solver transparently falls
-    /// back to the cold two-phase path, so the result is always the true
-    /// optimum; check [`SolveStats::warm_started`](crate::SolveStats) to see
-    /// which path ran.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](Self::solve).
-    pub fn solve_from_basis(
-        &self,
-        workspace: &mut SimplexWorkspace,
-        basis: &[usize],
-    ) -> Result<LpSolution> {
-        self.validate()?;
-        crate::simplex::solve_warm(self, workspace, basis)
+        workspace.solve(self)
     }
 }
 
@@ -445,34 +310,6 @@ mod tests {
         assert_eq!(lp.objective_direction(), Objective::Maximize);
         assert_eq!(x.index(), 0);
         assert_eq!(y.index(), 1);
-    }
-
-    #[test]
-    fn in_place_mutation_matches_a_rebuilt_problem() {
-        // A problem edited in place must solve identically to one built
-        // fresh with the same numbers.
-        let mut cached = LpProblem::new(Objective::Maximize);
-        let x = cached.add_var("x", 0.0, 10.0);
-        let y = cached.add_var("y", 0.0, 10.0);
-        cached.set_objective(x, 1.0);
-        cached.add_constraint(&[(x, 1.0), (y, 1.0)], Relation::Le, 5.0);
-
-        cached.set_bounds(x, 0.0, 3.0);
-        cached.set_objective(y, 2.0);
-        cached.set_constraint_term(0, 1, 0.5);
-        cached.set_constraint_rhs(0, 4.0);
-
-        let mut fresh = LpProblem::new(Objective::Maximize);
-        let fx = fresh.add_var("x", 0.0, 3.0);
-        let fy = fresh.add_var("y", 0.0, 10.0);
-        fresh.set_objective(fx, 1.0);
-        fresh.set_objective(fy, 2.0);
-        fresh.add_constraint(&[(fx, 1.0), (fy, 0.5)], Relation::Le, 4.0);
-
-        let a = cached.solve().unwrap();
-        let b = fresh.solve().unwrap();
-        assert!((a.objective() - b.objective()).abs() < 1e-9);
-        assert_eq!(a.values(), b.values());
     }
 
     #[test]

@@ -5,20 +5,14 @@ use crate::problem::VarId;
 /// Statistics about a solve, useful for benchmarking and regression tracking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Total simplex pivots across both phases (warm-start basis
-    /// factorization excluded — it is bounded by the row count).
+    /// Total simplex pivots across both phases.
     pub pivots: usize,
-    /// Pivots spent in phase 1 (driving artificial variables out). Zero for
-    /// solves seeded from a warm basis.
+    /// Pivots spent in phase 1 (driving artificial variables out).
     pub phase1_pivots: usize,
     /// Number of equality rows in the standard form.
     pub rows: usize,
     /// Number of columns in the standard form (excluding artificials).
     pub cols: usize,
-    /// Whether the solve was seeded from a caller-supplied basis (and that
-    /// basis was usable; a failed warm start that fell back to the cold
-    /// two-phase path reports `false`).
-    pub warm_started: bool,
 }
 
 /// An optimal solution of a linear program.
@@ -26,26 +20,16 @@ pub struct SolveStats {
 pub struct LpSolution {
     objective: f64,
     values: Vec<f64>,
-    basis: Vec<usize>,
-    duals: Vec<f64>,
     stats: SolveStats,
 }
 
 impl LpSolution {
     /// Construct a solution (used by the solver).
     #[must_use]
-    pub(crate) fn new(
-        objective: f64,
-        values: Vec<f64>,
-        basis: Vec<usize>,
-        duals: Vec<f64>,
-        stats: SolveStats,
-    ) -> Self {
+    pub(crate) fn new(objective: f64, values: Vec<f64>, stats: SolveStats) -> Self {
         Self {
             objective,
             values,
-            basis,
-            duals,
             stats,
         }
     }
@@ -72,37 +56,15 @@ impl LpSolution {
         &self.values
     }
 
-    /// The optimal basis: for each standard-form row, the column that is
-    /// basic in it. Feed this to [`crate::LpProblem::solve_from_basis`] to
-    /// warm-start a structurally identical solve.
-    #[must_use]
-    pub fn basis(&self) -> &[usize] {
-        &self.basis
-    }
-
-    /// The dual multipliers of the original constraints, extracted from the
-    /// optimal basis, indexed like [`crate::LpProblem::constraints`].
-    ///
-    /// Sign convention: for a **maximization**, the dual of a `≤` row is
-    /// nonnegative and the dual of a `≥` row nonpositive (up to the solver's
-    /// numerical noise); for a minimization the signs flip. Equality rows
-    /// are free. Variable *bounds* are not rows here — their multipliers are
-    /// implied (see [`crate::LpProblem::lagrangian_bound`], which folds the
-    /// bounds into the bound it prices from these duals).
-    #[must_use]
-    pub fn duals(&self) -> &[f64] {
-        &self.duals
-    }
-
     /// Solver statistics for this solve.
     #[must_use]
     pub fn stats(&self) -> SolveStats {
         self.stats
     }
 
-    /// Tear the solution apart into its buffers (for workspace recycling).
-    pub(crate) fn into_buffers(self) -> (Vec<f64>, Vec<usize>, Vec<f64>) {
-        (self.values, self.basis, self.duals)
+    /// Tear the solution apart into its buffer (for workspace recycling).
+    pub(crate) fn into_buffers(self) -> Vec<f64> {
+        self.values
     }
 }
 
@@ -117,41 +79,26 @@ mod tests {
             phase1_pivots: 1,
             rows: 2,
             cols: 4,
-            warm_started: false,
         };
-        let sol = LpSolution::new(7.5, vec![1.0, 2.0], vec![0, 1], vec![0.5], stats);
+        let sol = LpSolution::new(7.5, vec![1.0, 2.0], stats);
         assert_eq!(sol.objective(), 7.5);
         assert_eq!(sol.value(VarId(0)), 1.0);
         assert_eq!(sol.value(VarId(1)), 2.0);
         assert_eq!(sol.values(), &[1.0, 2.0]);
-        assert_eq!(sol.basis(), &[0, 1]);
-        assert_eq!(sol.duals(), &[0.5]);
         assert_eq!(sol.stats(), stats);
     }
 
     #[test]
     fn solution_clones_and_compares() {
-        let sol = LpSolution::new(1.0, vec![0.5], vec![0], vec![], SolveStats::default());
+        let sol = LpSolution::new(1.0, vec![0.5], SolveStats::default());
         let copy = sol.clone();
         assert_eq!(copy, sol);
-        assert_ne!(
-            LpSolution::new(2.0, vec![0.5], vec![0], vec![], SolveStats::default()),
-            sol
-        );
+        assert_ne!(LpSolution::new(2.0, vec![0.5], SolveStats::default()), sol);
     }
 
     #[test]
     fn into_buffers_returns_the_owned_vectors() {
-        let sol = LpSolution::new(
-            1.0,
-            vec![0.5, 0.25],
-            vec![1, 3],
-            vec![2.0],
-            SolveStats::default(),
-        );
-        let (values, basis, duals) = sol.into_buffers();
-        assert_eq!(values, vec![0.5, 0.25]);
-        assert_eq!(basis, vec![1, 3]);
-        assert_eq!(duals, vec![2.0]);
+        let sol = LpSolution::new(1.0, vec![0.5, 0.25], SolveStats::default());
+        assert_eq!(sol.into_buffers(), vec![0.5, 0.25]);
     }
 }

@@ -19,11 +19,8 @@
 //!
 //! The constraint matrix is stored as a single flat row-major `Vec<f64>` (see
 //! [`StandardForm::row`]), and [`StandardForm::rebuild`] refills an existing
-//! instance in place so the per-alert hot path performs no allocation once
-//! the buffers have grown to the steady-state problem size. Row-major
-//! contiguity is what the blocked simplex kernel's chunked pricing and
-//! elimination loops vectorize over — keep any new layout changes row-major
-//! or the kernel's speedup on many-type candidate LPs evaporates.
+//! instance in place so repeated solves through one workspace perform no
+//! allocation once the buffers have grown to the steady-state problem size.
 
 use crate::problem::{LpProblem, Objective, Relation};
 
@@ -46,11 +43,6 @@ pub struct StandardForm {
     /// Whether the original problem was a maximization (so the reported
     /// objective must be negated back).
     pub maximize: bool,
-    /// Per original constraint row, the sign (`+1.0` or `-1.0`) the row was
-    /// scaled by to make its right-hand side nonnegative. Needed to map the
-    /// simplex multipliers of the standard form back onto the original
-    /// constraints (see [`crate::LpSolution::duals`]).
-    pub row_signs: Vec<f64>,
 }
 
 impl StandardForm {
@@ -150,7 +142,6 @@ impl StandardForm {
         self.b.resize(rows, 0.0);
 
         let mut next_slack = n;
-        self.row_signs.clear();
         for (i, cons) in problem.constraints.iter().enumerate() {
             let row = &mut self.a[i * cols..(i + 1) * cols];
             let mut rhs = cons.rhs;
@@ -174,9 +165,6 @@ impl StandardForm {
                     *entry = -*entry;
                 }
                 rhs = -rhs;
-                self.row_signs.push(-1.0);
-            } else {
-                self.row_signs.push(1.0);
             }
             self.b[i] = rhs;
         }

@@ -327,7 +327,14 @@ impl Client {
                     }
                     return Err(e);
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    if matches!(e, NetError::Codec(CodecError::Oversized { .. })) {
+                        // The oversized payload was never read, so the
+                        // stream's framing is lost: the next call redials.
+                        self.conn = None;
+                    }
+                    return Err(e);
+                }
             }
         }
     }
@@ -553,4 +560,57 @@ pub fn fetch_metrics(addr: impl ToSocketAddrs) -> Result<String, NetError> {
 /// reachable.
 pub fn fetch_health(addr: impl ToSocketAddrs) -> Result<String, NetError> {
     http_get(addr, "/healthz")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{decode_request, encode_reply, MAX_FRAME};
+    use std::net::TcpListener;
+
+    /// Accept one connection, skip its handshake, and read one request,
+    /// returning the stream and the request's id.
+    fn accept_request(listener: &TcpListener) -> (TcpStream, u64) {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut handshake = [0u8; 6];
+        stream.read_exact(&mut handshake).unwrap();
+        let payload = read_frame(&mut stream).unwrap().unwrap();
+        let (request_id, _, _) = decode_request(&payload).unwrap();
+        (stream, request_id)
+    }
+
+    #[test]
+    fn an_oversized_reply_drops_the_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            // First connection: announce a frame over the cap and keep the
+            // socket open, so only the client can end this stream.
+            let (mut first, _) = accept_request(&listener);
+            let mut header = [0u8; 8];
+            header[..4].copy_from_slice(&((MAX_FRAME + 1) as u32).to_le_bytes());
+            first.write_all(&header).unwrap();
+            // Second connection: a well-formed reply.
+            let (mut second, id) = accept_request(&listener);
+            let reply = encode_reply(id, &Err(WireError::UnknownSession(7)));
+            write_frame(&mut second, &reply).unwrap();
+            drop(first);
+        });
+
+        let mut client = Client::connect(addr, "icu").unwrap();
+        let close = Request::FinishDay {
+            session: SessionId::from_raw(7),
+        };
+        match client.call(&close) {
+            Err(NetError::Codec(CodecError::Oversized { len })) => assert_eq!(len, MAX_FRAME + 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        // The next call runs on a fresh connection straight away: no
+        // transport failure, no retry.
+        let reply = client.call(&close).unwrap();
+        assert_eq!(reply, Err(WireError::UnknownSession(7)));
+        let stats = client.stats();
+        assert_eq!((stats.reconnects, stats.retries), (1, 0));
+        server.join().unwrap();
+    }
 }

@@ -54,7 +54,7 @@
 //! drive arbitrary mutations through the decoder to hold that line.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use sag_core::sse::{SseCacheTotals, SseSolveStats};
+use sag_core::sse::{SseSolveStats, SseTotals};
 use sag_core::{AlertOutcome, CycleResult, SignalingScheme};
 use sag_service::{Request, Response, ServiceError, SessionId, TenantId};
 use sag_sim::{Alert, AlertTypeId, TimeOfDay};
@@ -229,7 +229,8 @@ pub enum WireError {
         /// The configured bound that would have been exceeded.
         limit: u64,
     },
-    /// The engine rejected the operation.
+    /// The engine rejected the operation, or the server could not frame
+    /// its reply (the message says which).
     Engine(String),
     /// The durability layer rejected the operation (nothing was applied).
     Wal(String),
@@ -652,7 +653,7 @@ fn read_result(r: &mut Reader<'_>) -> Result<CycleResult, CodecError> {
     for _ in 0..n {
         offline_coverage.push(r.f64()?);
     }
-    let sse_totals = SseCacheTotals {
+    let sse_totals = SseTotals {
         solves: r.u64()?,
         lp_solves: r.u64()?,
         warm_attempts: r.u64()?,
@@ -672,6 +673,26 @@ fn read_result(r: &mut Reader<'_>) -> Result<CycleResult, CodecError> {
         sse_totals,
         certified_eps_loss,
     })
+}
+
+/// [`encode_reply`], with a payload longer than `max_frame` replaced by a
+/// [`WireError::Engine`] reply that names its size. The server encodes
+/// every reply through this with [`MAX_FRAME`], so an over-cap reply (a
+/// `DayClosed` for a day of roughly 100k alerts or more) reaches the client
+/// as a served, non-retryable error instead of a frame every client
+/// rejects. The request itself was applied.
+#[must_use]
+pub fn encode_reply_capped(request_id: u64, reply: &Reply, max_frame: usize) -> Bytes {
+    let payload = encode_reply(request_id, reply);
+    if payload.len() <= max_frame {
+        return payload;
+    }
+    let error = WireError::Engine(format!(
+        "the reply encodes to {} bytes, over the {max_frame}-byte frame cap; \
+         the request was applied",
+        payload.len()
+    ));
+    encode_reply(request_id, &Err(error))
 }
 
 /// Encode a server reply payload, echoing the id of the request it
@@ -806,9 +827,19 @@ pub fn decode_reply(payload: &[u8]) -> Result<(u64, Reply), CodecError> {
 ///
 /// # Errors
 ///
-/// Propagates socket errors.
+/// [`std::io::ErrorKind::InvalidInput`], with nothing written, for a
+/// payload longer than [`MAX_FRAME`] (every reader would reject it as
+/// [`CodecError::Oversized`]); otherwise propagates socket errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME);
+    if payload.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "a {}-byte payload exceeds the {MAX_FRAME}-byte frame cap",
+                payload.len()
+            ),
+        ));
+    }
     let mut header = [0u8; 8];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
@@ -979,6 +1010,48 @@ mod tests {
             assert_eq!(back_id, id);
             assert_eq!(back, reply);
         }
+    }
+
+    #[test]
+    fn over_cap_replies_become_a_served_error_and_are_never_written() {
+        let closed: Reply = Ok(Response::DayClosed {
+            session: SessionId::from_raw(3),
+            tenant: TenantId::from("icu"),
+            result: CycleResult {
+                day: 7,
+                outcomes: Vec::new(),
+                offline_auditor_utility: -1.0,
+                offline_attacker_utility: 2.0,
+                offline_coverage: vec![0.25; 256],
+                sse_totals: SseTotals::default(),
+                certified_eps_loss: 0.0,
+            },
+        });
+        let full = encode_reply(11, &closed);
+        assert!(full.len() > 2048);
+        // Under the cap the reply passes through untouched.
+        assert_eq!(encode_reply_capped(11, &closed, full.len()), full);
+        // Over it, the client gets a non-retryable error naming the size,
+        // under the same request id.
+        let capped = encode_reply_capped(11, &closed, 1024);
+        assert!(capped.len() <= 1024);
+        match decode_reply(&capped).unwrap() {
+            (11, Err(WireError::Engine(message))) => {
+                assert!(message.contains(&full.len().to_string()), "{message}");
+                assert!(message.contains("1024-byte frame cap"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // The frame writer refuses an over-cap payload and writes nothing.
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, &vec![0u8; MAX_FRAME + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty());
+        write_frame(&mut wire, &full).unwrap();
+        assert_eq!(
+            read_frame(&mut wire.as_slice()).unwrap().unwrap(),
+            &full[..]
+        );
     }
 
     #[test]

@@ -204,16 +204,7 @@ impl NetMetrics {
             },
         );
         put_u64(&mut out, "sag_lp_solves_total", service.lp_solves);
-        put_u64(&mut out, "sag_warm_attempts_total", service.warm_attempts);
-        put_u64(&mut out, "sag_warm_hits_total", service.warm_hits);
-        put_f64(&mut out, "sag_warm_hit_rate", service.warm_hit_rate());
         put_u64(&mut out, "sag_pivots_total", service.pivots);
-        put_u64(&mut out, "sag_pruned_lps_total", service.pruned_lps);
-        put_f64(
-            &mut out,
-            "sag_pruned_lp_fraction",
-            service.pruned_lp_fraction(),
-        );
         put_u64(
             &mut out,
             "sag_fast_path_solves_total",

@@ -59,8 +59,8 @@
 //! the one page a probe scrapes.
 
 use crate::codec::{
-    decode_request, encode_reply, read_frame, write_frame, NetError, Reply, WireError, MAGIC,
-    VERSION,
+    decode_request, encode_reply, encode_reply_capped, read_frame, write_frame, NetError, Reply,
+    WireError, MAGIC, MAX_FRAME, VERSION,
 };
 use crate::metrics::{NetMetrics, TenantGauge};
 use bytes::Bytes;
@@ -460,7 +460,9 @@ fn service_loop(
             gauge.release();
         }
         // A dead connection just drops its replies; nothing to do here.
-        let _ = job.reply.send(encode_reply(job.request_id, &reply));
+        let _ = job
+            .reply
+            .send(encode_reply_capped(job.request_id, &reply, MAX_FRAME));
     }
 }
 

@@ -3,7 +3,7 @@
 //! corruption, oversizing — can make the decoder panic or accept garbage.
 
 use proptest::prelude::*;
-use sag_core::sse::{SseCacheTotals, SseSolveStats};
+use sag_core::sse::{SseSolveStats, SseTotals};
 use sag_core::{AlertOutcome, CycleResult, SignalingScheme};
 use sag_net::codec::{
     decode_reply, decode_request, encode_reply, encode_request, read_frame, write_frame,
@@ -166,7 +166,7 @@ fn arb_result() -> impl Strategy<Value = CycleResult> {
                     offline_auditor_utility: auditor,
                     offline_attacker_utility: attacker,
                     offline_coverage,
-                    sse_totals: SseCacheTotals {
+                    sse_totals: SseTotals {
                         solves: totals.0,
                         lp_solves: totals.1,
                         warm_attempts: totals.2,

@@ -261,7 +261,7 @@ fn counters_match_cycle_totals_for_a_replayed_scenario() {
         snapshot.days_opened + snapshot.alerts + snapshot.days_closed
     );
     // The hot-path counters must equal both the sum over per-alert stats
-    // and the per-day cache totals the results report.
+    // and the per-day totals the results report.
     let sum = |f: fn(&sag_core::AlertOutcome) -> u64| -> u64 {
         results.iter().flat_map(|r| r.outcomes.iter()).map(f).sum()
     };
@@ -270,8 +270,8 @@ fn counters_match_cycle_totals_for_a_replayed_scenario() {
         sum(|o| u64::from(o.sse_stats.lp_solves))
     );
     assert_eq!(
-        snapshot.warm_hits,
-        sum(|o| u64::from(o.sse_stats.warm_hits))
+        snapshot.fast_path_solves,
+        sum(|o| u64::from(o.sse_stats.fast_path))
     );
     assert_eq!(snapshot.pivots, sum(|o| u64::from(o.sse_stats.pivots)));
     assert_eq!(
@@ -279,8 +279,11 @@ fn counters_match_cycle_totals_for_a_replayed_scenario() {
         results.iter().map(|r| r.sse_totals.lp_solves).sum::<u64>()
     );
     assert_eq!(
-        snapshot.warm_hits,
-        results.iter().map(|r| r.sse_totals.warm_hits).sum::<u64>()
+        snapshot.fast_path_solves,
+        results
+            .iter()
+            .map(|r| r.sse_totals.fast_path_solves)
+            .sum::<u64>()
     );
     let utility: f64 = results
         .iter()

@@ -1,13 +1,12 @@
 //! # sag-pool — a persistent scoped worker pool
 //!
-//! The SAG engine fans work out at two granularities: per-alert candidate
-//! LPs (microseconds of work, up to millions of times per replay) and
-//! per-day replay shards (milliseconds of work, dozens of times per batch).
-//! `std::thread::scope` is correct for both but spawns and joins an OS
-//! thread per call, which costs tens of microseconds — more than an entire
-//! warm-started candidate solve. This crate provides the missing piece: a
-//! [`WorkerPool`] whose threads are spawned **once** (per engine) and reused
-//! for every subsequent fan-out.
+//! The SAG engine fans per-day replay shards out over threads, and the
+//! service fans tenants out the same way. `std::thread::scope` is correct
+//! for both but spawns and joins an OS thread per call, which costs tens of
+//! microseconds — more than a whole day of sweep solves on a small game.
+//! This crate provides the missing piece: a [`WorkerPool`] whose threads
+//! are spawned **once** (per engine or service) and reused for every
+//! subsequent fan-out.
 //!
 //! ## Scoped semantics without scoped spawns
 //!
@@ -24,9 +23,8 @@
 //! batch's still-queued tasks itself instead of sleeping (and only those —
 //! it never picks up another batch's work, whose wall time would otherwise
 //! be billed to the caller). A task that itself calls [`WorkerPool::run`]
-//! (a replay shard whose per-alert solves fan candidate LPs out over the
-//! same pool) therefore always makes progress even when every worker is
-//! busy: the nested caller executes its own sub-tasks.
+//! on the same pool therefore always makes progress even when every worker
+//! is busy: the nested caller executes its own sub-tasks.
 //!
 //! ## Determinism
 //!

@@ -23,7 +23,6 @@
 use crate::scenario::Scenario;
 use sag_cluster::ClusterBuilder;
 use sag_core::engine::{AuditCycleEngine, EngineBuilder, ReplayJob};
-use sag_core::sse::SseCacheTotals;
 use sag_core::{CycleResult, Result};
 use sag_service::{AuditService, ServiceBuilder, ServiceError, ServiceJob, TenantId};
 use std::time::Instant;
@@ -56,30 +55,6 @@ impl ScenarioRun {
         } else {
             0.0
         }
-    }
-
-    /// Summed solver-work counters across all replayed days.
-    #[must_use]
-    pub fn sse_totals(&self) -> SseCacheTotals {
-        let mut totals = SseCacheTotals::default();
-        for c in &self.cycles {
-            totals.solves += c.sse_totals.solves;
-            totals.lp_solves += c.sse_totals.lp_solves;
-            totals.warm_attempts += c.sse_totals.warm_attempts;
-            totals.warm_hits += c.sse_totals.warm_hits;
-            totals.pivots += c.sse_totals.pivots;
-            totals.fast_path_solves += c.sse_totals.fast_path_solves;
-            totals.pruned_lps += c.sse_totals.pruned_lps;
-            totals.eps_skipped_lps += c.sse_totals.eps_skipped_lps;
-        }
-        totals
-    }
-
-    /// Summed certified ε utility-loss bound across all replayed days
-    /// (0.0 for exact runs).
-    #[must_use]
-    pub fn certified_eps_loss(&self) -> f64 {
-        self.cycles.iter().map(|c| c.certified_eps_loss).sum()
     }
 
     /// Alert-weighted mean of a per-outcome quantity. Weighting by alert
@@ -158,28 +133,7 @@ pub fn run_scenario_sized(
     history_days: u32,
     test_days: u32,
 ) -> Result<ScenarioRun> {
-    run_scenario_sized_with(scenario, seed, shards, history_days, test_days, |_| {})
-}
-
-/// [`run_scenario_sized`] with an engine-configuration override hook,
-/// applied after the scenario's own [`Scenario::engine_config`]. Used by
-/// benchmarks and equivalence tests to flip engine-level switches (solver
-/// backend, pruning mode) on an otherwise identical replay.
-///
-/// # Errors
-///
-/// Propagates engine construction and solver errors.
-pub fn run_scenario_sized_with(
-    scenario: &dyn Scenario,
-    seed: u64,
-    shards: usize,
-    history_days: u32,
-    test_days: u32,
-    configure: impl FnOnce(&mut sag_core::engine::EngineConfig),
-) -> Result<ScenarioRun> {
-    let mut config = scenario.engine_config();
-    configure(&mut config);
-    let engine = AuditCycleEngine::new(config)?;
+    let engine = AuditCycleEngine::new(scenario.engine_config())?;
     let days = scenario.generate_days(seed, history_days + test_days);
     let log = sag_sim::AlertLog::new(days);
     let groups = log.rolling_groups(history_days as usize);
@@ -318,36 +272,7 @@ pub fn run_scenario_service(
     history_days: u32,
     test_days: u32,
 ) -> std::result::Result<ServiceRun, ServiceError> {
-    run_scenario_service_with(
-        scenario,
-        seed,
-        tenants,
-        workers,
-        history_days,
-        test_days,
-        |_| {},
-    )
-}
-
-/// [`run_scenario_service`] with an engine-configuration override hook,
-/// applied to every tenant after the scenario's own
-/// [`Scenario::engine_config`]. The equivalence tests use it to pin the
-/// solver backend.
-///
-/// # Errors
-///
-/// Propagates service construction and engine errors.
-pub fn run_scenario_service_with(
-    scenario: &dyn Scenario,
-    seed: u64,
-    tenants: usize,
-    workers: usize,
-    history_days: u32,
-    test_days: u32,
-    configure: impl FnOnce(&mut sag_core::engine::EngineConfig),
-) -> std::result::Result<ServiceRun, ServiceError> {
-    let mut config = scenario.engine_config();
-    configure(&mut config);
+    let config = scenario.engine_config();
 
     let tenant_ids: Vec<TenantId> = (0..tenants)
         .map(|t| TenantId::new(format!("{}-t{t}", scenario.name())))
@@ -540,23 +465,17 @@ pub fn tenant_fleet_cluster_parts(
 mod tests {
     use super::*;
     use crate::library::{BudgetShocks, PaperBaseline};
-    use sag_core::sse::SolverBackendKind;
 
     #[test]
     fn baseline_run_produces_one_cycle_per_test_day() {
-        // Pinned to the simplex-LP oracle: the warm-start counters need LPs.
-        let run = run_scenario_sized_with(&PaperBaseline, 11, 1, 6, 3, |engine| {
-            engine.backend = SolverBackendKind::SimplexLp;
-        })
-        .unwrap();
+        let run = run_scenario_sized(&PaperBaseline, 11, 1, 6, 3).unwrap();
         assert_eq!(run.cycles.len(), 3);
         assert!(run.alerts() > 300);
         assert!(run.alerts_per_sec() > 0.0);
         assert!((run.fraction_ossp_not_worse() - 1.0).abs() < 1e-12);
         assert!(run.mean_ossp() >= run.mean_online());
-        let totals = run.sse_totals();
-        assert_eq!(totals.solves as usize, run.alerts());
-        assert!(totals.warm_hit_rate() > 0.5);
+        let solves: u64 = run.cycles.iter().map(|c| c.sse_totals.solves).sum();
+        assert_eq!(solves as usize, run.alerts());
     }
 
     #[test]

@@ -33,9 +33,9 @@ pub mod registry;
 pub mod scenario;
 
 pub use driver::{
-    run_scenario, run_scenario_service, run_scenario_service_with, run_scenario_sized,
-    run_scenario_sized_with, stream_scenario_sized, tenant_fleet, tenant_fleet_cluster_parts,
-    tenant_fleet_parts, FleetTenant, ScenarioRun, ServiceRun, StreamingRun, TenantFleet,
+    run_scenario, run_scenario_service, run_scenario_sized, stream_scenario_sized, tenant_fleet,
+    tenant_fleet_cluster_parts, tenant_fleet_parts, FleetTenant, ScenarioRun, ServiceRun,
+    StreamingRun, TenantFleet,
 };
 pub use registry::{find_scenario, registry};
 pub use scenario::Scenario;

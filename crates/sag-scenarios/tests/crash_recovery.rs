@@ -2,11 +2,13 @@
 //! `AuditService` at deterministic alert indices — with clean cuts and
 //! torn final records — recover from the surviving WAL bytes, finish the
 //! day, and require the result bitwise identical to the uninterrupted run.
-//! Runs every registry scenario on both general-purpose solver backends,
-//! so durability inherits the same equivalence contract concurrency has.
+//! Runs every registry scenario on both solver backends, so durability
+//! inherits the same equivalence contract concurrency has.
 
+mod common;
+
+use common::OnTheLpBackend;
 use sag_core::engine::EngineBuilder;
-use sag_core::sse::SolverBackendKind;
 use sag_core::CycleResult;
 use sag_scenarios::{registry, Scenario};
 use sag_service::{
@@ -38,15 +40,12 @@ enum Crash {
 
 fn builder_for(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
     history: Vec<DayLog>,
 ) -> (sag_service::ServiceBuilder, TenantId) {
-    let mut config = scenario.engine_config();
-    config.backend = backend;
     let tenant = TenantId::new(format!("{}-t0", scenario.name()));
     let builder = AuditService::builder().workers(0).tenant_with_history(
         tenant.clone(),
-        EngineBuilder::from_config(config),
+        EngineBuilder::from_config(scenario.engine_config()),
         history,
     );
     (builder, tenant)
@@ -90,7 +89,6 @@ fn drive_day(
 /// and return the finished result.
 fn crashed_and_recovered(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
     history: &[DayLog],
     test_day: &DayLog,
     budget: Option<f64>,
@@ -101,7 +99,7 @@ fn crashed_and_recovered(
     let options = DurabilityOptions::no_fsync();
 
     {
-        let (builder, tenant) = builder_for(scenario, backend, history.to_vec());
+        let (builder, tenant) = builder_for(scenario, history.to_vec());
         // WAL appends: #0 header, #1 OpenDay, #2 + i for alert i.
         let fs: Box<dyn sag_service::WalFs> = match crash {
             Crash::Clean => Box::new(store.clone()),
@@ -141,7 +139,7 @@ fn crashed_and_recovered(
         // The process dies here; only `store`'s bytes survive.
     }
 
-    let (builder, _tenant) = builder_for(scenario, backend, history.to_vec());
+    let (builder, _tenant) = builder_for(scenario, history.to_vec());
     let mut recovered = builder
         .recover_on(Box::new(store), options)
         .expect("recovers");
@@ -155,7 +153,7 @@ fn crashed_and_recovered(
         .alerts_processed();
     assert!(
         done == kill_alert || matches!(crash, Crash::Torn { .. }) && done == kill_alert + 1,
-        "{} [{backend:?}]: recovered {done} alerts after a kill at {kill_alert} ({crash:?})",
+        "{}: recovered {done} alerts after a kill at {kill_alert} ({crash:?})",
         scenario.name()
     );
     for alert in &test_day.alerts()[done..] {
@@ -175,13 +173,13 @@ fn crashed_and_recovered(
     result
 }
 
-fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
+fn assert_crash_recovery_equivalence(scenario: &dyn Scenario) {
     let days = scenario.generate_days(SEED, HISTORY_DAYS + 1);
     let (history, test_day) = days.split_at(HISTORY_DAYS as usize);
     let test_day = &test_day[0];
     let budget = scenario.budget_for_day(test_day.day());
 
-    let (builder, tenant) = builder_for(scenario, backend, history.to_vec());
+    let (builder, tenant) = builder_for(scenario, history.to_vec());
     let mut control_service = builder.build().expect("control build");
     let control = untimed(drive_day(&mut control_service, &tenant, test_day, budget));
 
@@ -203,12 +201,12 @@ fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, backend: SolverBac
     ];
     for (kill_alert, crash) in cases {
         let recovered = untimed(crashed_and_recovered(
-            scenario, backend, history, test_day, budget, kill_alert, crash,
+            scenario, history, test_day, budget, kill_alert, crash,
         ));
         assert_eq!(
             recovered,
             control,
-            "{} [{backend:?}]: recovery after kill at alert {kill_alert} ({crash:?}) diverged",
+            "{}: recovery after kill at alert {kill_alert} ({crash:?}) diverged",
             scenario.name()
         );
     }
@@ -217,13 +215,13 @@ fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, backend: SolverBac
 #[test]
 fn crash_recovery_matches_uninterrupted_on_the_auto_backend() {
     for scenario in registry() {
-        assert_crash_recovery_equivalence(scenario.as_ref(), SolverBackendKind::Auto);
+        assert_crash_recovery_equivalence(scenario.as_ref());
     }
 }
 
 #[test]
 fn crash_recovery_matches_uninterrupted_on_the_lp_backend() {
     for scenario in registry() {
-        assert_crash_recovery_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp);
+        assert_crash_recovery_equivalence(&OnTheLpBackend::new(scenario.as_ref(), HISTORY_DAYS));
     }
 }

@@ -2,14 +2,16 @@
 //! interleaved — round-robin through one driver loop and fanned out over
 //! `sag-pool` worker threads — produce `CycleResult`s bitwise identical to
 //! serial per-tenant replay, across the full scenario registry and both
-//! general-purpose solver backends. This is the contract that makes the
-//! `AuditService` front door safe to scale: concurrency and multiplexing
-//! change wall-clock time, never results.
+//! solver backends. This is the contract that makes the `AuditService`
+//! front door safe to scale: concurrency and multiplexing change wall-clock
+//! time, never results.
 
+mod common;
+
+use common::OnTheLpBackend;
 use sag_core::engine::EngineBuilder;
-use sag_core::sse::SolverBackendKind;
 use sag_core::CycleResult;
-use sag_scenarios::{registry, run_scenario_service_with, run_scenario_sized_with, Scenario};
+use sag_scenarios::{registry, run_scenario_service, run_scenario_sized, Scenario};
 use sag_service::{AuditService, SessionHandle, TenantId};
 use std::collections::HashMap;
 
@@ -28,40 +30,25 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
 
 /// Serial per-tenant reference: each tenant replayed alone, one shard, on
 /// its own seed — the ground truth the concurrent paths must reproduce.
-fn serial_reference(scenario: &dyn Scenario, backend: SolverBackendKind) -> Vec<Vec<CycleResult>> {
+fn serial_reference(scenario: &dyn Scenario) -> Vec<Vec<CycleResult>> {
     (0..TENANTS)
         .map(|t| {
-            run_scenario_sized_with(
-                scenario,
-                SEED + t as u64,
-                1,
-                HISTORY_DAYS,
-                TEST_DAYS,
-                |config| config.backend = backend,
-            )
-            .expect("serial replay")
-            .cycles
-            .into_iter()
-            .map(untimed)
-            .collect()
+            run_scenario_sized(scenario, SEED + t as u64, 1, HISTORY_DAYS, TEST_DAYS)
+                .expect("serial replay")
+                .cycles
+                .into_iter()
+                .map(untimed)
+                .collect()
         })
         .collect()
 }
 
 /// The pool-threaded leg: tenants fanned out over the service's `sag-pool`
 /// workers via `replay_concurrent`.
-fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
-    let reference = serial_reference(scenario, backend);
-    let service = run_scenario_service_with(
-        scenario,
-        SEED,
-        TENANTS,
-        4,
-        HISTORY_DAYS,
-        TEST_DAYS,
-        |config| config.backend = backend,
-    )
-    .expect("service replay");
+fn assert_pool_equivalence(scenario: &dyn Scenario) {
+    let reference = serial_reference(scenario);
+    let service = run_scenario_service(scenario, SEED, TENANTS, 4, HISTORY_DAYS, TEST_DAYS)
+        .expect("service replay");
     assert_eq!(service.tenants, TENANTS);
     assert_eq!(service.workers, 4);
     let concurrent: Vec<Vec<CycleResult>> = service
@@ -72,7 +59,7 @@ fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) 
     assert_eq!(
         concurrent,
         reference,
-        "{} [{backend:?}]: pool-threaded service replay diverged from serial",
+        "{}: pool-threaded service replay diverged from serial",
         scenario.name()
     );
 }
@@ -80,11 +67,10 @@ fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) 
 /// The single-loop leg: owned handles for all tenants held in one map and
 /// fed strictly round-robin, one alert per tenant per turn — the maximally
 /// interleaved schedule a multiplexing driver loop can produce.
-fn assert_interleaved_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
-    let reference = serial_reference(scenario, backend);
+fn assert_interleaved_equivalence(scenario: &dyn Scenario) {
+    let reference = serial_reference(scenario);
 
-    let mut config = scenario.engine_config();
-    config.backend = backend;
+    let config = scenario.engine_config();
     let tenant_ids: Vec<TenantId> = (0..TENANTS)
         .map(|t| TenantId::new(format!("{}-t{t}", scenario.name())))
         .collect();
@@ -149,7 +135,7 @@ fn assert_interleaved_equivalence(scenario: &dyn Scenario, backend: SolverBacken
     assert_eq!(
         results,
         reference,
-        "{} [{backend:?}]: interleaved driver loop diverged from serial",
+        "{}: interleaved driver loop diverged from serial",
         scenario.name()
     );
 }
@@ -157,27 +143,27 @@ fn assert_interleaved_equivalence(scenario: &dyn Scenario, backend: SolverBacken
 #[test]
 fn pool_threaded_service_replay_matches_serial_on_the_auto_backend() {
     for scenario in registry() {
-        assert_pool_equivalence(scenario.as_ref(), SolverBackendKind::Auto);
+        assert_pool_equivalence(scenario.as_ref());
     }
 }
 
 #[test]
 fn pool_threaded_service_replay_matches_serial_on_the_lp_backend() {
     for scenario in registry() {
-        assert_pool_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp);
+        assert_pool_equivalence(&OnTheLpBackend::new(scenario.as_ref(), HISTORY_DAYS));
     }
 }
 
 #[test]
 fn interleaved_owned_sessions_match_serial_on_the_auto_backend() {
     for scenario in registry() {
-        assert_interleaved_equivalence(scenario.as_ref(), SolverBackendKind::Auto);
+        assert_interleaved_equivalence(scenario.as_ref());
     }
 }
 
 #[test]
 fn interleaved_owned_sessions_match_serial_on_the_lp_backend() {
     for scenario in registry() {
-        assert_interleaved_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp);
+        assert_interleaved_equivalence(&OnTheLpBackend::new(scenario.as_ref(), HISTORY_DAYS));
     }
 }

@@ -1,12 +1,14 @@
 //! Streaming equivalence: a `DaySession` fed alert-by-alert produces
 //! bitwise-identical `CycleResult`s to the batch `run_day` wrapper and to
 //! `replay_sharded` at every shard count — across the full scenario
-//! registry and for both general-purpose solver backends. This is the
-//! contract that lets ingest loops, batch replays and sharded benchmarks
-//! share one engine without ever diverging on results.
+//! registry and for both solver backends. This is the contract that lets
+//! ingest loops, batch replays and sharded benchmarks share one engine
+//! without ever diverging on results.
 
-use sag_core::engine::{AuditCycleEngine, EngineConfig, ReplayJob};
-use sag_core::sse::SolverBackendKind;
+mod common;
+
+use common::OnTheLpBackend;
+use sag_core::engine::{AuditCycleEngine, ReplayJob};
 use sag_core::CycleResult;
 use sag_scenarios::{registry, Scenario};
 use sag_sim::AlertLog;
@@ -19,17 +21,16 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
     cycle
 }
 
-/// Stream every rolling group of `scenario` through a session and check the
-/// results against the batch wrappers, bitwise.
+/// Stream every rolling group of `scenario` through a session, check the
+/// results against the batch wrappers, bitwise, and return them.
 fn assert_streaming_equivalence(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
     seed: u64,
     history_days: u32,
     days: u32,
-) {
-    let mut config: EngineConfig = scenario.engine_config();
-    config.backend = backend;
+) -> Vec<CycleResult> {
+    let config = scenario.engine_config();
+    let backend = config.backend;
     let engine = AuditCycleEngine::new(config).expect("scenario engine");
     let log = AlertLog::new(scenario.generate_days(seed, days));
     let groups = log.rolling_groups(history_days as usize);
@@ -90,18 +91,26 @@ fn assert_streaming_equivalence(
             "{name} [{backend:?}]: {shards} shard(s) disagree with streaming"
         );
     }
+    streamed
 }
 
 #[test]
 fn every_registered_scenario_streams_identically_on_the_auto_backend() {
     for scenario in registry() {
-        assert_streaming_equivalence(scenario.as_ref(), SolverBackendKind::Auto, 2026, 4, 7);
+        let streamed = assert_streaming_equivalence(scenario.as_ref(), 2026, 4, 7);
+        assert!(streamed.iter().all(|c| c.sse_totals.lp_solves == 0));
     }
 }
 
 #[test]
 fn every_registered_scenario_streams_identically_on_the_lp_backend() {
     for scenario in registry() {
-        assert_streaming_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp, 2026, 4, 7);
+        let on_lp = OnTheLpBackend::new(scenario.as_ref(), 4);
+        let streamed = assert_streaming_equivalence(&on_lp, 2026, 4, 7);
+        assert!(
+            streamed.iter().all(|c| c.sse_totals.lp_solves > 0),
+            "{}: a day solved no LP",
+            scenario.name()
+        );
     }
 }

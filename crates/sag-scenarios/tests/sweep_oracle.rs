@@ -16,17 +16,17 @@
 //!
 //! Inputs: every registered multi-type game, a few solves of the 64- and
 //! 128-type XL games, random 2–28-type games, zero budgets, zero forecasts,
-//! budgets big enough to leave slack, and payoffs scaled from 1e-6 to 1e9.
+//! budgets big enough to leave slack, payoffs scaled from 1e-6 to 1e9, and
+//! a sample of the inputs served days actually pose, across the registry.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sag_core::engine::{AuditCycleEngine, ReplayJob};
 use sag_core::model::{GameConfig, PayoffTable, Payoffs};
 use sag_core::sse::{certify, SolverBackend, SolverBackendKind, SseInput, SseSolution, SseSolver};
-use sag_core::CycleResult;
-use sag_forecast::expected_inverse_positive;
+use sag_forecast::{expected_inverse_positive, ArrivalModel, FutureAlertEstimator};
 use sag_scenarios::library::{ContinentalSprawl, GlobalMesh};
-use sag_scenarios::{registry, Scenario};
+use sag_scenarios::registry;
 use sag_sim::AlertLog;
 
 /// Relative tolerance of every comparison.
@@ -280,71 +280,66 @@ fn sweep_matches_the_lp_on_random_and_adversarial_games() {
     assert!(tally.slack > 0, "no slack-budget input was exercised");
 }
 
-/// Replay `scenario` on `backend`: a few rolling days, scenario budgets.
-fn replay(scenario: &dyn Scenario, backend: SolverBackendKind) -> Vec<CycleResult> {
-    let mut config = scenario.engine_config();
-    config.backend = backend;
-    let engine = AuditCycleEngine::new(config).expect("scenario engine");
-    let many_types = engine.config().game.num_types() >= 14;
-    let (history_days, days) = if many_types { (3, 5) } else { (4, 7) };
-    let log = AlertLog::new(scenario.generate_days(2019, days));
-    let jobs: Vec<ReplayJob<'_>> = log
-        .rolling_groups(history_days)
-        .into_iter()
-        .map(|(history, test_day)| ReplayJob {
-            history,
-            test_day,
-            budget: scenario.budget_for_day(test_day.day()),
-        })
-        .collect();
-    engine.replay_sharded(&jobs, 1).expect("scenario replays")
-}
+/// Alerts per test day whose inputs the registry-wide comparison rebuilds
+/// and solves on both backends.
+const SAMPLED_ALERTS_PER_DAY: usize = 12;
 
-/// The sweep and the simplex oracle serve the same days: alert by alert,
-/// the same best response, and utilities, coverage and remaining budgets
-/// within the tolerance — across the whole registry.
+/// The sweep and the simplex oracle agree on the inputs the served days
+/// actually pose: every registered scenario is replayed on `Auto` over a
+/// few rolling days, and at a sample of alerts per day the session's SSE
+/// input (forecast and remaining OSSP budget) is rebuilt, checked against
+/// the served decision, and solved on both backends under the contract in
+/// the module docs, both answers certified.
 #[test]
 fn auto_and_simplex_lp_agree_alert_by_alert_across_the_registry() {
+    let mut sweep = SolverBackendKind::Auto.instantiate();
     for scenario in registry() {
         let name = scenario.name();
-        let scale = scenario.engine_config().game.payoffs.magnitude();
-        let auto = replay(scenario.as_ref(), SolverBackendKind::Auto);
-        let lp = replay(scenario.as_ref(), SolverBackendKind::SimplexLp);
-        assert_eq!(auto.len(), lp.len(), "{name}");
-        for (a, b) in auto.iter().zip(&lp) {
-            assert_eq!(a.outcomes.len(), b.outcomes.len(), "{name} day {}", a.day);
-            let close = |x: f64, y: f64, tol: f64| (x - y).abs() <= tol;
-            assert!(close(
-                a.offline_auditor_utility,
-                b.offline_auditor_utility,
-                TOL * scale
-            ));
-            for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-                let at = format!("{name} day {} alert {}", a.day, x.index);
-                assert_eq!(x.best_response, y.best_response, "{at}");
-                for (u, v) in [
-                    (x.ossp_utility, y.ossp_utility),
-                    (x.online_sse_utility, y.online_sse_utility),
-                    (x.ossp_attacker_utility, y.ossp_attacker_utility),
-                ] {
-                    assert!(close(u, v, TOL * scale), "{at}: utility {u} vs {v}");
+        let config = scenario.engine_config();
+        let game = &config.game;
+        let engine = AuditCycleEngine::new(config.clone()).expect("scenario engine");
+        let log = AlertLog::new(scenario.generate_days(2019, 7));
+        let mut tally = Tally::default();
+        for (history, test_day) in log.rolling_groups(4) {
+            let budget = scenario.budget_for_day(test_day.day());
+            let job = ReplayJob {
+                history,
+                test_day,
+                budget,
+            };
+            let served = engine
+                .replay_sharded(&[job], 1)
+                .expect("day replays")
+                .remove(0);
+            let model =
+                ArrivalModel::fit_weighted(history, game.num_types(), config.forecast_decay);
+            let mut estimator = FutureAlertEstimator::new(model, config.rollback);
+            let mut estimates = Vec::new();
+            let mut remaining = budget.unwrap_or(game.budget);
+            let stride = (test_day.len() / SAMPLED_ALERTS_PER_DAY).max(1);
+            for (alert, outcome) in test_day.alerts().iter().zip(&served.outcomes) {
+                if outcome.index % stride == 0 {
+                    estimator.estimate_all_into(alert.time, &mut estimates);
+                    let input = input(game, &estimates, remaining);
+                    let at = format!("{name} day {} alert {}", test_day.day(), outcome.index);
+                    // The rebuilt input is the one the session solved.
+                    let rebuilt = sweep.solve(&input).expect("the sweep solves");
+                    assert_eq!(rebuilt.best_response, outcome.best_response, "{at}");
+                    assert_eq!(
+                        rebuilt.coverage_of(alert.type_id).to_bits(),
+                        outcome.coverage_ossp.to_bits(),
+                        "{at}"
+                    );
+                    sweep.recycle(rebuilt);
+                    compare(&input, sweep.as_mut(), &mut tally, &at);
                 }
-                assert!(
-                    close(x.coverage_ossp, y.coverage_ossp, TOL),
-                    "{at}: coverage"
-                );
-                let budget = x.budget_after_ossp.max(1.0);
-                assert!(
-                    close(x.budget_after_ossp, y.budget_after_ossp, TOL * budget),
-                    "{at}: budget {} vs {}",
-                    x.budget_after_ossp,
-                    y.budget_after_ossp
-                );
+                estimator.observe_alert(alert.time);
+                remaining = outcome.budget_after_ossp;
             }
-            // The sweep never builds an LP; the oracle always does.
-            assert_eq!(a.sse_totals.lp_solves, 0, "{name}");
-            assert_eq!(a.sse_totals.fast_path_solves as usize, a.len(), "{name}");
-            assert!(b.sse_totals.lp_solves > 0 || b.is_empty(), "{name}");
         }
+        assert!(
+            tally.inputs >= 3 * SAMPLED_ALERTS_PER_DAY,
+            "{name}: {tally:?}"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! its plaintext metrics endpoint. Every counter is updated with relaxed
 //! atomics on the [`crate::AuditService::handle`] path: no locks, no
 //! allocation, one `fetch_add` per field touched, so instrumentation cost
-//! is noise next to a single LP pivot.
+//! is noise next to a single SSE solve.
 //!
 //! Utilities are accumulated as `f64` sums stored in their IEEE-754 bit
 //! patterns, updated with a compare-exchange loop — the standard lock-free
@@ -41,15 +41,9 @@ pub struct ServiceCounters {
     errors: AtomicU64,
     /// Candidate LPs solved across all served alerts.
     lp_solves: AtomicU64,
-    /// LPs that attempted a warm-started basis.
-    warm_attempts: AtomicU64,
-    /// LPs whose warm start was accepted.
-    warm_hits: AtomicU64,
     /// Total simplex pivots.
     pivots: AtomicU64,
-    /// Candidate LPs skipped by the incremental pruning bound.
-    pruned_lps: AtomicU64,
-    /// Alerts answered entirely by the single-type closed form.
+    /// Alerts answered without an LP (the sweep or the closed form).
     fast_path_solves: AtomicU64,
     /// Summed per-alert solve time in microseconds.
     solve_micros: AtomicU64,
@@ -127,14 +121,8 @@ impl ServiceCounters {
         let stats = &outcome.sse_stats;
         self.lp_solves
             .fetch_add(u64::from(stats.lp_solves), Ordering::Relaxed);
-        self.warm_attempts
-            .fetch_add(u64::from(stats.warm_attempts), Ordering::Relaxed);
-        self.warm_hits
-            .fetch_add(u64::from(stats.warm_hits), Ordering::Relaxed);
         self.pivots
             .fetch_add(u64::from(stats.pivots), Ordering::Relaxed);
-        self.pruned_lps
-            .fetch_add(u64::from(stats.pruned_lps), Ordering::Relaxed);
         self.fast_path_solves
             .fetch_add(u64::from(stats.fast_path), Ordering::Relaxed);
         self.solve_micros
@@ -154,10 +142,7 @@ impl ServiceCounters {
             alerts: self.alerts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             lp_solves: self.lp_solves.load(Ordering::Relaxed),
-            warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
             pivots: self.pivots.load(Ordering::Relaxed),
-            pruned_lps: self.pruned_lps.load(Ordering::Relaxed),
             fast_path_solves: self.fast_path_solves.load(Ordering::Relaxed),
             solve_micros: self.solve_micros.load(Ordering::Relaxed),
             dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
@@ -185,15 +170,9 @@ pub struct CountersSnapshot {
     pub errors: u64,
     /// Candidate LPs solved.
     pub lp_solves: u64,
-    /// LPs that attempted a warm start.
-    pub warm_attempts: u64,
-    /// LPs whose warm start was accepted.
-    pub warm_hits: u64,
     /// Total simplex pivots.
     pub pivots: u64,
-    /// Candidate LPs pruned without solving.
-    pub pruned_lps: u64,
-    /// Alerts answered by the closed form.
+    /// Alerts answered without an LP (the sweep or the closed form).
     pub fast_path_solves: u64,
     /// Summed per-alert solve time, microseconds.
     pub solve_micros: u64,
@@ -223,10 +202,7 @@ impl CountersSnapshot {
             alerts: self.alerts + other.alerts,
             errors: self.errors + other.errors,
             lp_solves: self.lp_solves + other.lp_solves,
-            warm_attempts: self.warm_attempts + other.warm_attempts,
-            warm_hits: self.warm_hits + other.warm_hits,
             pivots: self.pivots + other.pivots,
-            pruned_lps: self.pruned_lps + other.pruned_lps,
             fast_path_solves: self.fast_path_solves + other.fast_path_solves,
             solve_micros: self.solve_micros + other.solve_micros,
             dup_suppressed: self.dup_suppressed + other.dup_suppressed,
@@ -252,28 +228,6 @@ impl CountersSnapshot {
     #[must_use]
     pub fn quiescent_identity_holds(&self) -> bool {
         self.requests == self.days_opened + self.alerts + self.days_closed + self.errors
-    }
-
-    /// Warm-start hit rate over the LPs that attempted one; 0 when none did.
-    #[must_use]
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.warm_attempts == 0 {
-            0.0
-        } else {
-            self.warm_hits as f64 / self.warm_attempts as f64
-        }
-    }
-
-    /// Fraction of candidate LPs retired by the pruning bound, out of every
-    /// candidate considered (solved + pruned); 0 when none were considered.
-    #[must_use]
-    pub fn pruned_lp_fraction(&self) -> f64 {
-        let considered = self.lp_solves + self.pruned_lps;
-        if considered == 0 {
-            0.0
-        } else {
-            self.pruned_lps as f64 / considered as f64
-        }
     }
 
     /// Mean OSSP auditor utility per served alert; 0 before the first alert.
@@ -354,8 +308,6 @@ mod tests {
     #[test]
     fn derived_rates_handle_zero_denominators() {
         let empty = ServiceCounters::new().snapshot();
-        assert_eq!(empty.warm_hit_rate(), 0.0);
-        assert_eq!(empty.pruned_lp_fraction(), 0.0);
         assert_eq!(empty.mean_ossp_utility(), 0.0);
         assert_eq!(empty.mean_online_utility(), 0.0);
     }

@@ -5,8 +5,8 @@ Compares a freshly measured BENCH_1.json (per-alert solve-chain throughput)
 against the committed baseline and sanity-checks BENCH_2.json (the scenario
 registry replay, the service front door, durability, and the network load
 run). Floors are deliberately generous — CI runners are noisy — so only
-real regressions (a lost warm-start path, an accidentally quadratic replay)
-trip them.
+real regressions (a solver fallen off its fast path, an accidentally
+quadratic replay) trip them.
 
 The checks are grouped into named sections selectable with `--sections`
 (comma-separated), so each CI job gates exactly the reports it produced:
@@ -24,7 +24,6 @@ import sys
 
 SECTIONS = (
     "bench1",
-    "lp_kernel",
     "scenarios",
     "service_concurrent",
     "durability",
@@ -57,24 +56,13 @@ def load_json(path, label):
 
 
 def check_bench1(baseline, fresh, floor):
-    """BENCH_1: solve-chain throughput, streaming latency, pruning."""
+    """BENCH_1: solve-chain throughput and streaming latency."""
     floor_aps = baseline["alerts_per_sec"] * floor
     check(
         "throughput.alerts_per_sec",
         fresh["alerts_per_sec"] >= floor_aps,
         f'{fresh["alerts_per_sec"]:.0f} alerts/sec (floor {floor_aps:.0f}, '
         f'baseline {baseline["alerts_per_sec"]:.0f})',
-    )
-    floor_hit = baseline["warm_start_hit_rate"] * floor
-    check(
-        "throughput.warm_start_hit_rate",
-        fresh["warm_start_hit_rate"] >= floor_hit,
-        f'{fresh["warm_start_hit_rate"]:.4f} (floor {floor_hit:.4f})',
-    )
-    check(
-        "throughput.warm_speedup_5type",
-        fresh["warm_vs_cold_5type"]["speedup"] >= 1.0,
-        f'{fresh["warm_vs_cold_5type"]["speedup"]:.2f}x warm-vs-cold',
     )
 
     # The streaming block must exist with sane percentiles (a missing or
@@ -113,136 +101,17 @@ def check_bench1(baseline, fresh, floor):
             f'{baseline["streaming"]["latency_micros"]["p99"]:.1f}us)',
         )
 
-    # The pruning skip counters are deterministic (unlike wall-clock), so
-    # they are gated tightly: the pruned arm must actually retire most
-    # candidate LPs, and the exhaustive arm must still solve one LP per type
-    # (proving the comparison measures what it claims). The wall-clock
-    # speedup only needs to clear 1.0 loosely — a pruning layer that *slows
-    # the solver down* is a regression even on a noisy runner.
-    pruning = fresh.get("pruning")
-    pruning_ok = isinstance(pruning, dict)
-    check("pruning.present", pruning_ok, "BENCH_1 carries a pruning block")
-    if pruning_ok:
-        check(
-            "pruning.pruned_lp_fraction",
-            0.5 <= pruning["pruned_lp_fraction"] <= 1.0,
-            f'{pruning["pruned_lp_fraction"]:.4f} of candidate LPs pruned',
-        )
-        check(
-            "pruning.exhaustive_arm_is_exhaustive",
-            pruning["lp_solves_per_solve_exhaustive"] > 6.0,
-            f'{pruning["lp_solves_per_solve_exhaustive"]:.2f} LPs/solve '
-            "(7-type game)",
-        )
-        check(
-            "pruning.speedup",
-            pruning["speedup"] >= 1.1,
-            f'{pruning["speedup"]:.2f}x pruned vs exhaustive',
-        )
 
-
-def check_lp_kernel(baseline, fresh, floor):
-    """BENCH_1: the blocked simplex kernel vs the frozen scalar reference,
-    and the certified ε-approximate solve mode."""
-    kernel = fresh.get("lp_kernel")
-    kernel_ok = isinstance(kernel, dict) and isinstance(
-        kernel.get("sizes"), list)
-    check(
-        "lp_kernel.present",
-        kernel_ok,
-        "BENCH_1 carries an lp_kernel block",
-    )
-    if not kernel_ok:
-        return
-    sizes = {row["types"]: row for row in kernel["sizes"]}
-    check(
-        "lp_kernel.sizes",
-        all(t in sizes for t in (28, 64, 128)),
-        f"measured type counts: {sorted(sizes)}",
-    )
-    # The committed baseline carries the headline claim: the blocked kernel
-    # beats the frozen reference by >= 1.5x on the 128-type candidate LPs
-    # (same Bland pivot sequence, so the ratio is pure per-pivot
-    # throughput). The fresh run only needs to clear a noise-scaled floor —
-    # a same-machine ratio is robust, but CI runners still jitter.
-    base_sizes = {
-        row["types"]: row
-        for row in baseline.get("lp_kernel", {}).get("sizes", [])}
-    if 128 in base_sizes:
-        check(
-            "lp_kernel.speedup_128_baseline",
-            base_sizes[128]["speedup"] >= 1.5,
-            f'committed baseline claims {base_sizes[128]["speedup"]:.2f}x '
-            "(floor 1.50)",
-        )
-    else:
-        check(
-            "lp_kernel.speedup_128_baseline",
-            False,
-            "no 128-type row in the committed baseline; regenerate "
-            "BENCH_1.json to re-arm the gate",
-        )
-    if 128 in sizes:
-        fresh_floor = max(1.1, 1.5 * floor)
-        check(
-            "lp_kernel.speedup_128",
-            sizes[128]["speedup"] >= fresh_floor,
-            f'{sizes[128]["speedup"]:.2f}x blocked vs reference '
-            f"(floor {fresh_floor:.2f})",
-        )
-        check(
-            "lp_kernel.pivots_128",
-            sizes[128]["pivots_per_lp"] >= 10.0,
-            f'{sizes[128]["pivots_per_lp"]:.1f} pivots/LP — the candidate '
-            "programs do real simplex work",
-        )
-    # The ε-mode counters are deterministic; the certificate bound is a hard
-    # engine guarantee (each skipped day certifies <= ε per solve), so both
-    # are gated exactly rather than floored.
-    eps = kernel.get("epsilon_mode")
-    eps_ok = isinstance(eps, dict)
-    check(
-        "lp_kernel.epsilon_mode.present",
-        eps_ok,
-        "lp_kernel carries the ε-approximate mode leg",
-    )
-    if not eps_ok:
-        return
-    check(
-        "lp_kernel.epsilon_mode.skips",
-        eps["skipped_candidate_lps"] >= 1
-        and 0.0 < eps["skip_fraction"] <= 1.0,
-        f'{eps["skipped_candidate_lps"]} candidate LPs skipped '
-        f'({eps["skip_fraction"]:.4f} of decisions) at '
-        f'ε = {eps["epsilon"]:.1f}',
-    )
-    check(
-        "lp_kernel.epsilon_mode.certificate",
-        0.0 <= eps["worst_day_certified_loss"]
-        and eps["total_certified_loss"]
-        <= eps["epsilon"] * eps["solves"] + 1e-9,
-        f'worst day {eps["worst_day_certified_loss"]:.4f}, total '
-        f'{eps["total_certified_loss"]:.4f} over {eps["solves"]} solves '
-        f'(bound ε × solves = {eps["epsilon"] * eps["solves"]:.1f})',
-    )
-
-
-def check_scenarios(scenarios, scenario_baseline, baseline, floor):
+def check_scenarios(scenarios, scenario_baseline, floor):
     """BENCH_2: every registered scenario replays at real throughput."""
     # The throughput floor here is deliberately absolute, not derived from
     # the 7-type BENCH_1 baseline: scenarios are free to be intrinsically
     # heavier (more types, bigger populations). The floor only catches
     # catastrophic regressions like an accidentally quadratic replay.
     scenario_floor_aps = 500.0
-    # The warm-hit floor rides on the BENCH_1 baseline when it was loaded;
-    # standalone runs of this section fall back to an absolute floor.
-    if baseline is not None:
-        floor_hit = baseline["warm_start_hit_rate"] * floor
-    else:
-        floor_hit = 0.2
-    # The federated scenarios are what the incremental solve layer exists
-    # for; their pruning skip rate is gated (deterministic) and — when a
-    # committed BENCH_2 baseline is supplied — so is their throughput.
+    # The federated scenarios carry the most types per solve; when a
+    # committed BENCH_2 baseline is supplied, their throughput is gated
+    # against it.
     federated = {"multi-site", "metro-grid"}
     baseline_rows = {}
     if scenario_baseline is not None:
@@ -263,23 +132,7 @@ def check_scenarios(scenarios, scenario_baseline, baseline, floor):
             f'{row["alerts_per_sec"]:.0f} alerts/sec '
             f"(floor {scenario_floor_aps:.0f})",
         )
-        check(
-            f"scenario.{name}.warm_start_hit_rate",
-            row["warm_start_hit_rate"] >= floor_hit,
-            f'{row["warm_start_hit_rate"]:.4f} (floor {floor_hit:.4f})',
-        )
-        fraction = row.get("pruned_lp_fraction", 0.0)
-        check(
-            f"scenario.{name}.pruned_lp_fraction_sane",
-            0.0 <= fraction < 1.0,
-            f"{fraction:.4f} within [0, 1)",
-        )
         if name in federated:
-            check(
-                f"scenario.{name}.pruned_lp_fraction",
-                fraction >= 0.5,
-                f"{fraction:.4f} of candidate LPs pruned (floor 0.5)",
-            )
             if name in baseline_rows:
                 scen_floor = baseline_rows[name]["alerts_per_sec"] * floor
                 check(
@@ -753,15 +606,12 @@ def main():
     if unknown:
         parser.error(f"unknown section(s): {', '.join(unknown)}")
 
-    bench1_sections = {"bench1", "lp_kernel"}
-    needs_bench1 = bool(bench1_sections & set(selected))
-    needs_scenarios = any(s not in bench1_sections for s in selected)
+    needs_bench1 = "bench1" in selected
+    needs_scenarios = any(s != "bench1" for s in selected)
     if needs_bench1 and not (args.baseline and args.throughput):
-        parser.error("the bench1 and lp_kernel sections need --baseline "
-                     "and --throughput")
+        parser.error("the bench1 section needs --baseline and --throughput")
     if needs_scenarios and not args.scenarios:
-        parser.error("every section except bench1/lp_kernel needs "
-                     "--scenarios")
+        parser.error("every section except bench1 needs --scenarios")
 
     baseline = load_json(args.baseline, "bench1") if needs_bench1 else None
     fresh = load_json(args.throughput, "bench1") if needs_bench1 else None
@@ -770,15 +620,11 @@ def main():
     scenario_baseline = load_json(args.scenario_baseline, "scenario_baseline")
 
     if baseline is not None and fresh is not None:
-        if "bench1" in selected:
-            run_section("bench1", check_bench1, baseline, fresh, args.floor)
-        if "lp_kernel" in selected:
-            run_section("lp_kernel", check_lp_kernel, baseline, fresh,
-                        args.floor)
+        run_section("bench1", check_bench1, baseline, fresh, args.floor)
     if scenarios is not None:
         if "scenarios" in selected:
             run_section("scenarios", check_scenarios, scenarios,
-                        scenario_baseline, baseline, args.floor)
+                        scenario_baseline, args.floor)
         if "service_concurrent" in selected:
             run_section("service_concurrent", check_service_concurrent,
                         scenarios, scenario_baseline, args.floor)
