@@ -1,7 +1,7 @@
 //! End-to-end throughput of the per-alert solve chain, written as the
 //! machine-readable `BENCH_1.json` so the trajectory can be tracked: bulk
-//! alerts/sec, p50/p99 per-alert latency, and the per-alert *decision*
-//! latency of the streaming `DaySession` ingest mode.
+//! alerts/sec and the per-alert *decision* latency of the streaming
+//! `DaySession` ingest mode.
 //!
 //! Usage: `cargo run --release -p sag-bench --bin repro_throughput [seed] [out.json]`
 
@@ -27,18 +27,6 @@ fn main() {
     println!(
         "throughput            : {:>10.0} alerts/sec",
         report.alerts_per_sec
-    );
-    println!(
-        "latency p50           : {:>10.1} us/alert",
-        report.p50_micros
-    );
-    println!(
-        "latency p99           : {:>10.1} us/alert",
-        report.p99_micros
-    );
-    println!(
-        "latency mean          : {:>10.1} us/alert",
-        report.mean_micros
     );
     println!(
         "streaming (push_alert): {:>10.0} alerts/sec",

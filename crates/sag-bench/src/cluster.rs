@@ -65,20 +65,11 @@ pub struct ClusterScalingReport {
     /// The curves, in ascending shard count (always starting at 1).
     pub points: Vec<ClusterScalePoint>,
     /// Whether every point's results — per-tenant cluster cycles and batch
-    /// replay cycles — were bitwise identical (timing fields zeroed) to the
-    /// 1-shard point's. Anything but `true` is a correctness bug and
+    /// replay cycles — were bitwise identical to the 1-shard point's. Anything but `true` is a correctness bug and
     /// `check_perf.py` fails on it.
     pub results_identical: bool,
     /// Honest caveat when the host cannot show a real speedup.
     pub note: Option<String>,
-}
-
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
 }
 
 /// Drive `fleet` through its shards, one OS thread per shard, each thread
@@ -187,7 +178,7 @@ pub fn cluster_scaling_report(
             let run = run_scenario_sized(scenario, seed, shards, history_days, test_days)
                 .expect("cluster bench replay");
             replay_wall = replay_wall.min(run.wall_seconds);
-            replay_cycles = run.cycles.into_iter().map(untimed).collect();
+            replay_cycles = run.cycles;
 
             let (builder, fleet) = tenant_fleet_cluster_parts(
                 scenario,
@@ -201,10 +192,7 @@ pub fn cluster_scaling_report(
             let (router, shard_services) = cluster.into_shards();
             let (wall, results) = drive_cluster_threaded(scenario, router, shard_services, &fleet);
             cluster_wall = cluster_wall.min(wall);
-            cluster_results = results
-                .into_iter()
-                .map(|tenant| tenant.into_iter().map(untimed).collect())
-                .collect();
+            cluster_results = results;
         }
         alerts = cluster_results
             .iter()

@@ -611,14 +611,6 @@ pub struct ChaosLoadReport {
     pub recovery_converged: bool,
 }
 
-/// Wall-clock solve time is the one legitimately nondeterministic field;
-/// zero it before bitwise comparison.
-fn zero_solve_micros(result: &mut sag_core::CycleResult) {
-    for outcome in &mut result.outcomes {
-        outcome.solve_micros = 0;
-    }
-}
-
 /// Drive the fleet in-process, no sockets — the ground truth the faulted
 /// run must reproduce bitwise.
 fn drive_control(config: &ChaosLoadConfig) -> Result<Vec<Vec<sag_core::CycleResult>>, String> {
@@ -660,10 +652,7 @@ fn drive_control(config: &ChaosLoadConfig) -> Result<Vec<Vec<sag_core::CycleResu
                 .handle(Request::FinishDay { session })
                 .map_err(|e| format!("control finish: {e}"))?
             {
-                Response::DayClosed { mut result, .. } => {
-                    zero_solve_micros(&mut result);
-                    results.push(result);
-                }
+                Response::DayClosed { result, .. } => results.push(result),
                 other => return Err(format!("control finish answered {other:?}")),
             }
         }
@@ -773,10 +762,9 @@ pub fn run_chaos_load(config: &ChaosLoadConfig) -> Result<ChaosLoadReport, Strin
                                 .map_err(|e| format!("{}: chaos push: {e}", tenant.id))?;
                             alerts += 1;
                         }
-                        let mut result = client
+                        let result = client
                             .finish_day(session)
                             .map_err(|e| format!("{}: chaos finish: {e}", tenant.id))?;
-                        zero_solve_micros(&mut result);
                         results.push(result);
                     }
                     Ok((results, client.stats(), alerts))
@@ -916,10 +904,9 @@ fn run_recovery_probe(config: &ChaosLoadConfig) -> Result<bool, String> {
             .push_alert(session, alert)
             .map_err(|e| format!("recovery probe post-crash push: {e}"))?;
     }
-    let mut result = client
+    let result = client
         .finish_day(session)
         .map_err(|e| format!("recovery probe finish: {e}"))?;
-    zero_solve_micros(&mut result);
 
     drop(proxy);
     drop(server);
@@ -1056,10 +1043,9 @@ pub fn run_kill_recover(
                 .push_alert(session, alert)
                 .map_err(|e| format!("kill leg post-recovery push: {e}"))?;
         }
-        let mut result = client
+        let result = client
             .finish_day(session)
             .map_err(|e| format!("kill leg finish: {e}"))?;
-        zero_solve_micros(&mut result);
 
         if client.stats().reconnects == 0 {
             return Err("kill leg never reconnected".to_owned());

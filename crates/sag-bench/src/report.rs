@@ -80,11 +80,6 @@ pub fn render_summary(label: &str, summary: &ExperimentSummary) -> String {
         "attacks deterred      : {:>9.1}%",
         summary.fraction_deterred * 100.0
     );
-    let _ = writeln!(
-        out,
-        "mean solve time       : {:>8.1} us/alert",
-        summary.mean_solve_micros
-    );
     out
 }
 

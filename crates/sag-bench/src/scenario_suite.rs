@@ -20,7 +20,7 @@
 use crate::cluster::{cluster_scaling_report, ClusterScalingReport};
 use sag_core::engine::EngineBuilder;
 use sag_core::sse::SolverBackendKind;
-use sag_core::{CycleResult, Result};
+use sag_core::Result;
 use sag_scenarios::{
     find_scenario, registry, run_scenario_service, run_scenario_sized, Scenario, ScenarioRun,
 };
@@ -153,8 +153,8 @@ pub struct DurabilityReport {
     /// Replayed alerts per second during recovery.
     pub recovery_alerts_per_sec: f64,
     /// Whether the recovered day, driven to completion, matched the
-    /// uninterrupted run bitwise (timing fields zeroed). Anything but
-    /// `true` is a correctness bug, and `check_perf.py` fails on it.
+    /// uninterrupted run bitwise. Anything but `true` is a correctness
+    /// bug, and `check_perf.py` fails on it.
     pub recovered_bitwise_equal: bool,
 }
 
@@ -408,14 +408,6 @@ fn durability_wal_dir(leg: &str) -> PathBuf {
         .join(format!("sag-durability-bench-{leg}"))
 }
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 /// Measure the durability layer on `scenario`'s game: one oversized day of
 /// `config.durability_alerts` alerts logged with fsync on and off, then
 /// recovered from the WAL and driven to completion.
@@ -491,7 +483,6 @@ fn durability_report(scenario: &dyn Scenario, config: &SuiteConfig) -> Durabilit
     else {
         panic!("unexpected response");
     };
-    let control = untimed(control);
     drop(control_service);
 
     // Timed legs: the identical day through a durable service, fsync on
@@ -550,7 +541,7 @@ fn durability_report(scenario: &dyn Scenario, config: &SuiteConfig) -> Durabilit
     else {
         panic!("unexpected response");
     };
-    let recovered_bitwise_equal = replayed == target && untimed(result) == control;
+    let recovered_bitwise_equal = replayed == target && result == control;
 
     DurabilityReport {
         scenario: scenario.name().to_string(),

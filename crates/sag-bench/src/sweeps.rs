@@ -2,8 +2,9 @@
 //! ablation sweep over the audit budget.
 //!
 //! These are the workloads that benefit from parallelism: every
-//! (history, test-day) group is independent, so the runner fans the groups
-//! out over `std::thread::scope` threads.
+//! (history, test-day) group is independent, so the runner replays them
+//! through [`AuditCycleEngine::run_groups`], which shards the groups over the
+//! engine's worker pool when the `parallel` feature is on.
 
 use crate::experiments::FigureExperimentConfig;
 use sag_core::engine::{AuditCycleEngine, CycleResult, EngineConfig};
@@ -22,7 +23,9 @@ pub struct GroupResult {
 }
 
 /// Run the paper's rolling-group evaluation (56 days, 41-day history ⇒ 15
-/// groups), processing groups in parallel.
+/// groups), processing groups in parallel through
+/// [`AuditCycleEngine::run_groups`]. Results do not depend on the shard
+/// count.
 ///
 /// # Panics
 ///
@@ -36,44 +39,11 @@ pub fn rolling_groups_parallel(
     let mut generator = StreamGenerator::new(config_stream(config));
     let log = AlertLog::new(generator.generate_days(total_days));
     let engine = AuditCycleEngine::new(config_engine(config)).expect("paper configuration");
-    let history_len = config.history_days as usize;
-    let groups = log.rolling_groups(history_len);
-
-    let num_threads = std::thread::available_parallelism()
-        .map_or(4, usize::from)
-        .clamp(1, 8);
-    let results: Vec<(usize, CycleResult)> = std::thread::scope(|scope| {
-        let chunks: Vec<Vec<(usize, &[sag_sim::DayLog], &sag_sim::DayLog)>> = {
-            let mut buckets: Vec<Vec<_>> = (0..num_threads).map(|_| Vec::new()).collect();
-            for (i, (history, test)) in groups.iter().enumerate() {
-                buckets[i % num_threads].push((i, *history, *test));
-            }
-            buckets
-        };
-        let engine = &engine;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|(i, history, test)| {
-                            (i, engine.run_day(history, test).expect("cycle replays"))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all: Vec<(usize, CycleResult)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread"))
-            .collect();
-        all.sort_by_key(|(i, _)| *i);
-        all
-    });
-
-    results
+    engine
+        .run_groups(&log, config.history_days as usize)
+        .expect("cycles replay")
         .into_iter()
+        .enumerate()
         .map(|(group, cycle)| GroupResult {
             group,
             test_day: cycle.day,
@@ -192,12 +162,8 @@ mod tests {
             })
             .collect();
 
-        assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.summary.num_alerts, s.num_alerts);
-            assert!((p.summary.mean_ossp - s.mean_ossp).abs() < 1e-9);
-            assert!((p.summary.mean_online - s.mean_online).abs() < 1e-9);
-        }
+        let parallel: Vec<ExperimentSummary> = parallel.into_iter().map(|g| g.summary).collect();
+        assert_eq!(parallel, sequential);
     }
 
     #[test]

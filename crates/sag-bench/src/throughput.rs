@@ -4,7 +4,7 @@
 //!
 //! * **bulk** — replays the workload through the engine's sharded batch
 //!   driver on the scenario's own backend (the exact sweep by default) and
-//!   reports alerts per second and per-alert solve-latency percentiles;
+//!   reports alerts per second;
 //! * **streaming** — feeds the same alerts one at a time through
 //!   [`sag_core::DaySession::push_alert`] (the production ingest shape) and
 //!   reports p50/p99 *decision* latency: the full per-alert cost of forecast
@@ -18,7 +18,6 @@
 //! The [`render_json`] output is written to `BENCH_1.json` by the
 //! `repro_throughput` binary.
 
-use sag_core::CycleResult;
 use sag_scenarios::{find_scenario, run_scenario_sized, stream_scenario_sized};
 use std::fmt::Write as _;
 
@@ -75,12 +74,6 @@ pub struct ThroughputReport {
     pub wall_seconds: f64,
     /// End-to-end alerts per second (replay work divided by wall time).
     pub alerts_per_sec: f64,
-    /// Median per-alert solve latency (SSE + OSSP), microseconds.
-    pub p50_micros: f64,
-    /// 99th-percentile per-alert solve latency, microseconds.
-    pub p99_micros: f64,
-    /// Mean per-alert solve latency, microseconds.
-    pub mean_micros: f64,
     /// Per-alert decision latency of the same workload streamed through
     /// [`sag_core::DaySession::push_alert`].
     pub streaming: StreamingLatencyReport,
@@ -108,8 +101,12 @@ pub fn throughput_experiment(config: &ThroughputConfig) -> ThroughputReport {
     let run = run_scenario_sized(scenario.as_ref(), config.seed, 1, history_days, test_days)
         .expect("scenario replay succeeds");
 
-    let streaming = streaming_experiment(config);
-    summarize(&run.cycles, run.wall_seconds, streaming)
+    ThroughputReport {
+        alerts: run.alerts(),
+        wall_seconds: run.wall_seconds,
+        alerts_per_sec: run.alerts_per_sec(),
+        streaming: streaming_experiment(config),
+    }
 }
 
 /// Stream the configured workload alert-at-a-time through
@@ -163,47 +160,6 @@ pub fn streaming_experiment(config: &ThroughputConfig) -> StreamingLatencyReport
     }
 }
 
-/// Aggregate replayed cycles into a report.
-fn summarize(
-    cycles: &[CycleResult],
-    wall_seconds: f64,
-    streaming: StreamingLatencyReport,
-) -> ThroughputReport {
-    let mut latencies: Vec<u64> = cycles
-        .iter()
-        .flat_map(|c| c.outcomes.iter().map(|o| o.solve_micros))
-        .collect();
-    latencies.sort_unstable();
-    let alerts = latencies.len();
-
-    let percentile = |q: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = ((alerts - 1) as f64 * q).round() as usize;
-        latencies[rank] as f64
-    };
-    let mean_micros = if alerts == 0 {
-        0.0
-    } else {
-        latencies.iter().map(|&v| v as f64).sum::<f64>() / alerts as f64
-    };
-
-    ThroughputReport {
-        alerts,
-        wall_seconds,
-        alerts_per_sec: if wall_seconds > 0.0 {
-            alerts as f64 / wall_seconds
-        } else {
-            0.0
-        },
-        p50_micros: percentile(0.50),
-        p99_micros: percentile(0.99),
-        mean_micros,
-        streaming,
-    }
-}
-
 /// Render the report as the machine-readable `BENCH_1.json` document.
 #[must_use]
 pub fn render_json(report: &ThroughputReport) -> String {
@@ -212,11 +168,6 @@ pub fn render_json(report: &ThroughputReport) -> String {
     let _ = writeln!(out, "  \"alerts\": {},", report.alerts);
     let _ = writeln!(out, "  \"wall_seconds\": {:.6},", report.wall_seconds);
     let _ = writeln!(out, "  \"alerts_per_sec\": {:.2},", report.alerts_per_sec);
-    let _ = writeln!(out, "  \"latency_micros\": {{");
-    let _ = writeln!(out, "    \"p50\": {:.1},", report.p50_micros);
-    let _ = writeln!(out, "    \"p99\": {:.1},", report.p99_micros);
-    let _ = writeln!(out, "    \"mean\": {:.1}", report.mean_micros);
-    let _ = writeln!(out, "  }},");
     let s = &report.streaming;
     let _ = writeln!(out, "  \"streaming\": {{");
     let _ = writeln!(out, "    \"alerts\": {},", s.alerts);
@@ -247,22 +198,11 @@ mod tests {
         let report = throughput_experiment(&config);
         assert!(report.alerts > 100);
         assert!(report.alerts_per_sec > 0.0);
-        assert!(report.p50_micros <= report.p99_micros);
         // The streaming leg replays the same workload alert-by-alert.
         assert_eq!(report.streaming.alerts, report.alerts);
         assert!(report.streaming.alerts_per_sec > 0.0);
         assert!(report.streaming.p50_micros > 0.0);
         assert!(report.streaming.p50_micros <= report.streaming.p99_micros);
-        // A push includes the solve, so the decision latency cannot sit far
-        // below the solve latency. The two medians come from independent
-        // replays on a possibly noisy runner, so allow a generous relative
-        // margin rather than a tight absolute one.
-        assert!(
-            report.streaming.p50_micros * 1.5 + 2.0 >= report.p50_micros,
-            "streaming p50 {} implausibly below bulk solve p50 {}",
-            report.streaming.p50_micros,
-            report.p50_micros
-        );
     }
 
     #[test]
@@ -271,9 +211,6 @@ mod tests {
             alerts: 1000,
             wall_seconds: 0.5,
             alerts_per_sec: 2000.0,
-            p50_micros: 11.0,
-            p99_micros: 42.0,
-            mean_micros: 13.5,
             streaming: StreamingLatencyReport {
                 alerts: 1000,
                 wall_seconds: 0.6,
@@ -287,9 +224,6 @@ mod tests {
         for needle in [
             "\"alerts\": 1000",
             "\"alerts_per_sec\": 2000.00",
-            "\"p50\": 11.0",
-            "\"p99\": 42.0",
-            "\"mean\": 13.5",
             "\"streaming\"",
             "\"alerts_per_sec\": 1666.00",
             "\"p50\": 15.5",

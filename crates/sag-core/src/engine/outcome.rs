@@ -5,6 +5,10 @@ use crate::sse::{SseSolveStats, SseTotals};
 use sag_sim::{AlertTypeId, TimeOfDay};
 
 /// Everything the engine recorded about one processed alert.
+///
+/// A pure value: it holds no wall-clock time, so two replays of the same
+/// inputs compare with `==`. Callers that want the solve time measure the
+/// [`push_alert`](crate::engine::Session::push_alert) call themselves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertOutcome {
     /// Index of the alert within the day (0-based).
@@ -43,9 +47,6 @@ pub struct AlertOutcome {
     pub budget_after_ossp: f64,
     /// Remaining budget in the online-SSE world after processing this alert.
     pub budget_after_online: f64,
-    /// Wall-clock time spent computing the SSE + OSSP for this alert, in
-    /// microseconds (the per-alert optimization cost the paper reports).
-    pub solve_micros: u64,
     /// Solver-work statistics of the OSSP-world SSE computation for this
     /// alert (LPs solved, simplex pivots).
     pub sse_stats: SseSolveStats,
@@ -68,7 +69,8 @@ pub struct CycleResult {
     /// (solves, LPs, pivots).
     pub sse_totals: SseTotals,
     /// Always `0.0`: every solve is exact, so no utility is given up. The
-    /// wire and WAL formats carry the field.
+    /// wire format carries the field, and the end-to-end benchmark in
+    /// `perfbench/` still reads it.
     pub certified_eps_loss: f64,
 }
 
@@ -104,13 +106,6 @@ impl CycleResult {
     #[must_use]
     pub fn mean_offline_utility(&self) -> f64 {
         self.offline_auditor_utility
-    }
-
-    /// Mean per-alert optimization time in microseconds, or `None` for a
-    /// zero-alert day.
-    #[must_use]
-    pub fn mean_solve_micros(&self) -> Option<f64> {
-        mean(self.outcomes.iter().map(|o| o.solve_micros as f64))
     }
 
     /// Fraction of alerts for which the OSSP utility is at least the online

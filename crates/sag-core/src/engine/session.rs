@@ -38,7 +38,6 @@ use sag_pool::WorkerPool;
 use sag_sim::{Alert, AlertTypeId, DayLog};
 use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// The audit-cycle engine: a validated configuration and (with the
 /// `parallel` feature, on multi-core hosts) a persistent worker pool
@@ -340,7 +339,6 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             .estimate_all_into(alert.time, &mut self.estimates);
 
         // ---- OSSP world -------------------------------------------------
-        let started = Instant::now();
         let sse_ossp = self
             .backends
             .ossp
@@ -376,7 +374,6 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
                 false,
             )
         };
-        let solve_micros = started.elapsed().as_micros() as u64;
 
         // ---- online-SSE world -------------------------------------------
         // While the two worlds' budgets agree (the start of a day) the OSSP
@@ -430,7 +427,6 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             best_response: sse_ossp.best_response,
             budget_after_ossp: self.budget_ossp,
             budget_after_online: self.budget_online,
-            solve_micros,
             sse_stats: sse_ossp.stats,
         };
         // Hand the solution buffers back to their backends for reuse — the

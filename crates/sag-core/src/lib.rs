@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 
 pub mod attacker;
-pub mod audit_selection;
 pub mod bayesian;
 pub mod engine;
 pub mod error;

@@ -118,8 +118,6 @@ pub struct ExperimentSummary {
     /// Fraction of alerts where the OSSP is at least as good as the online
     /// SSE (Theorem 2 predicts 1.0).
     pub fraction_ossp_not_worse: f64,
-    /// Mean per-alert optimization time in microseconds.
-    pub mean_solve_micros: f64,
     /// Fraction of alerts on which the OSSP fully deterred an attack.
     pub fraction_deterred: f64,
 }
@@ -155,7 +153,6 @@ impl ExperimentSummary {
             mean_online: sum(&|o| o.online_sse_utility) / n,
             mean_offline: sum(&|o| o.offline_sse_utility) / n,
             fraction_ossp_not_worse: not_worse as f64 / n,
-            mean_solve_micros: sum(&|o| o.solve_micros as f64) / n,
             fraction_deterred: deterred as f64 / n,
         }
     }
@@ -231,7 +228,6 @@ mod tests {
         assert!((summary.fraction_ossp_not_worse - 1.0).abs() < 1e-12);
         assert!(summary.ossp_gain_over_online() > 0.0);
         assert!(summary.ossp_gain_over_offline() >= 0.0);
-        assert!(summary.mean_solve_micros > 0.0);
         assert!(summary.fraction_deterred > 0.0);
     }
 

@@ -3,31 +3,22 @@
 use sag_sim::AlertTypeId;
 
 /// Per-solve statistics of one online SSE computation.
-///
-/// The wire and WAL formats carry every field; the warm-start, pruning and
-/// ε counters always read 0, since every solve is cold and exact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SseSolveStats {
     /// Number of candidate LPs solved (0 when no LP was built).
     pub lp_solves: u32,
-    /// Always 0: no solve is warm-started.
-    pub warm_attempts: u32,
-    /// Always 0: no solve is warm-started.
-    pub warm_hits: u32,
     /// Total simplex pivots across the candidate LPs.
     pub pivots: u32,
-    /// Always 0: every candidate LP is solved.
-    pub pruned_lps: u32,
-    /// Always 0: every solve is exact.
-    pub eps_skipped_lps: u32,
     /// Whether the solve built no LP (the sweep or the single-type closed
     /// form).
     pub fast_path: bool,
 }
 
 /// Solver-work counters summed over the solves of one day (OSSP world),
-/// reported as [`crate::engine::CycleResult::sse_totals`]. Like
-/// [`SseSolveStats`], the warm-start, pruning and ε counters always read 0.
+/// reported as [`crate::engine::CycleResult::sse_totals`]. The warm-start,
+/// pruning and ε counters always read 0: every solve is cold and exact.
+/// The wire format carries every field, and the end-to-end benchmark in
+/// `perfbench/` still reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SseTotals {
     /// SSE computations performed.
@@ -53,12 +44,8 @@ impl SseTotals {
     pub(crate) fn record(&mut self, stats: &SseSolveStats) {
         self.solves += 1;
         self.lp_solves += u64::from(stats.lp_solves);
-        self.warm_attempts += u64::from(stats.warm_attempts);
-        self.warm_hits += u64::from(stats.warm_hits);
         self.pivots += u64::from(stats.pivots);
         self.fast_path_solves += u64::from(stats.fast_path);
-        self.pruned_lps += u64::from(stats.pruned_lps);
-        self.eps_skipped_lps += u64::from(stats.eps_skipped_lps);
     }
 }
 

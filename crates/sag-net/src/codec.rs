@@ -24,9 +24,10 @@
 //! All integers little-endian; `f64` as IEEE-754 bits via
 //! [`f64::to_bits`], so utilities round-trip **bitwise** — the loopback
 //! integration test compares decoded [`CycleResult`]s with `==`, not with
-//! an epsilon. Strings are `u16le` length + UTF-8 bytes. Alerts use the
-//! 9-byte shape of [`sag_sim::binary`] (person references are not
-//! serialized; the game consumes only time, type and ground truth).
+//! an epsilon. Strings are `u16le` length + UTF-8 bytes; longer error text
+//! is cut at a char boundary to fit. Alerts use the 9-byte shape of
+//! [`sag_sim::binary`] (person references are not serialized; the game
+//! consumes only time, type and ground truth).
 //!
 //! Since protocol version 2 every request travels inside an idempotency
 //! envelope — `request_id:u64le tenant:str` — and every reply echoes the
@@ -67,8 +68,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"SAGN");
 
 /// Wire protocol version carried in the handshake. Version 2 added the
 /// idempotency envelope (request ids on every request, echoed on every
-/// reply); version-1 peers are refused with a structured `BadRequest`.
-pub const VERSION: u16 = 2;
+/// reply); version 3 dropped the wall-clock solve time and the always-zero
+/// warm-start, pruning and ε counters from every encoded outcome. Peers of
+/// any other version are refused with a structured `BadRequest`.
+pub const VERSION: u16 = 3;
 
 /// Hard ceiling on one frame's payload length (16 MiB, matching the WAL's
 /// record bound). Checked before allocating.
@@ -369,10 +372,16 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Write `s` behind its `u16le` length. Tenant ids arrive through that
+/// prefix, so only composed error text can be longer; it is cut at the
+/// last char boundary within `u16::MAX` bytes.
 fn put_str(buf: &mut BytesMut, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "tenant ids are short");
-    buf.put_u16_le(s.len() as u16);
-    buf.put_slice(s.as_bytes());
+    let mut len = s.len().min(usize::from(u16::MAX));
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    buf.put_u16_le(len as u16);
+    buf.put_slice(&s.as_bytes()[..len]);
 }
 
 // --- requests ---------------------------------------------------------------
@@ -541,13 +550,8 @@ fn put_outcome(buf: &mut BytesMut, o: &AlertOutcome) {
         buf.put_u64_le(v.to_bits());
     }
     buf.put_u16_le(o.best_response.0);
-    buf.put_u64_le(o.solve_micros);
     buf.put_u32_le(o.sse_stats.lp_solves);
-    buf.put_u32_le(o.sse_stats.warm_attempts);
-    buf.put_u32_le(o.sse_stats.warm_hits);
     buf.put_u32_le(o.sse_stats.pivots);
-    buf.put_u32_le(o.sse_stats.pruned_lps);
-    buf.put_u32_le(o.sse_stats.eps_skipped_lps);
     buf.put_u8(u8::from(o.sse_stats.fast_path));
 }
 
@@ -573,14 +577,9 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<AlertOutcome, CodecError> {
     let budget_after_ossp = r.f64()?;
     let budget_after_online = r.f64()?;
     let best_response = AlertTypeId(r.u16()?);
-    let solve_micros = r.u64()?;
     let sse_stats = SseSolveStats {
         lp_solves: r.u32()?,
-        warm_attempts: r.u32()?,
-        warm_hits: r.u32()?,
         pivots: r.u32()?,
-        pruned_lps: r.u32()?,
-        eps_skipped_lps: r.u32()?,
         fast_path: r.u8()? != 0,
     };
     Ok(AlertOutcome {
@@ -601,7 +600,6 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<AlertOutcome, CodecError> {
         best_response,
         budget_after_ossp,
         budget_after_online,
-        solve_micros,
         sse_stats,
     })
 }
@@ -1052,6 +1050,21 @@ mod tests {
             read_frame(&mut wire.as_slice()).unwrap().unwrap(),
             &full[..]
         );
+    }
+
+    #[test]
+    fn over_long_text_is_cut_at_a_char_boundary() {
+        // 2-byte chars put `u16::MAX` inside a char, so the cut falls one
+        // byte short of it.
+        let message = "é".repeat(40_000);
+        let bytes = encode_reply(5, &Err(WireError::BadRequest(message.clone())));
+        match decode_reply(&bytes).unwrap() {
+            (5, Err(WireError::BadRequest(cut))) => {
+                assert_eq!(cut.len(), usize::from(u16::MAX) - 1);
+                assert!(message.starts_with(&cut));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

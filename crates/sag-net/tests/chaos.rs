@@ -31,12 +31,6 @@ fn scenario() -> Box<dyn Scenario> {
     find_scenario(SCENARIO).expect("registry lost the baseline scenario")
 }
 
-fn zero_solve_micros(result: &mut CycleResult) {
-    for o in &mut result.outcomes {
-        o.solve_micros = 0;
-    }
-}
-
 /// Drive one tenant-day directly through [`AuditService::handle`] — the
 /// faulted wire must reproduce this bit for bit.
 fn drive_direct(
@@ -62,10 +56,7 @@ fn drive_direct(
             .expect("direct PushAlert failed");
     }
     match service.handle(Request::FinishDay { session }) {
-        Ok(Response::DayClosed { mut result, .. }) => {
-            zero_solve_micros(&mut result);
-            result
-        }
+        Ok(Response::DayClosed { result, .. }) => result,
         other => panic!("direct FinishDay answered {other:?}"),
     }
 }
@@ -147,8 +138,7 @@ fn run_faulted(plan: ChaosPlan, read_timeout: Duration) -> FaultRun {
     for alert in day.alerts() {
         client.push_alert(session, alert).unwrap();
     }
-    let mut result = client.finish_day(session).unwrap();
-    zero_solve_micros(&mut result);
+    let result = client.finish_day(session).unwrap();
 
     // Scrape the server directly — the proxy only speaks the frame
     // protocol, not HTTP.
@@ -393,10 +383,8 @@ fn sigkill_equivalent_crash_recovers_dedup_and_converges() {
             alert: day.alerts()[half - 1],
         },
     ) {
-        Ok(Ok(Response::Decision { mut outcome, .. })) => {
-            let mut expected = pre_crash_last.expect("no pre-crash pushes");
-            outcome.solve_micros = 0;
-            expected.solve_micros = 0;
+        Ok(Ok(Response::Decision { outcome, .. })) => {
+            let expected = pre_crash_last.expect("no pre-crash pushes");
             assert_eq!(outcome, expected, "replayed decision diverged");
         }
         other => panic!("pre-crash id answered {other:?}"),
@@ -410,8 +398,7 @@ fn sigkill_equivalent_crash_recovers_dedup_and_converges() {
         client.push_alert(session, alert).unwrap();
     }
 
-    let mut result = client.finish_day(session).unwrap();
-    zero_solve_micros(&mut result);
+    let result = client.finish_day(session).unwrap();
     assert_eq!(result, control, "recovery diverged from the unfaulted run");
 
     let metrics = fetch_metrics(server.local_addr()).unwrap();
@@ -538,10 +525,9 @@ proptest! {
             .find(|(id, _)| *id == alerts as u64 + 2)
             .expect("FinishDay was never answered");
         let (_, reply) = decode_reply(&close.1).unwrap();
-        let Ok(Response::DayClosed { mut result, .. }) = reply else {
+        let Ok(Response::DayClosed { result, .. }) = reply else {
             panic!("FinishDay answered {reply:?}")
         };
-        zero_solve_micros(&mut result);
         prop_assert_eq!(result, control);
 
         let metrics = server.render_metrics();

@@ -70,34 +70,13 @@ fn arb_request() -> impl Strategy<Value = Request> {
 }
 
 fn arb_stats() -> impl Strategy<Value = SseSolveStats> {
-    (
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        (any::<u32>(), any::<u32>()),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(
-                lp_solves,
-                warm_attempts,
-                warm_hits,
-                pivots,
-                (pruned_lps, eps_skipped),
-                fast_path,
-            )| {
-                SseSolveStats {
-                    lp_solves,
-                    warm_attempts,
-                    warm_hits,
-                    pivots,
-                    pruned_lps,
-                    eps_skipped_lps: eps_skipped,
-                    fast_path,
-                }
-            },
-        )
+    (any::<u32>(), any::<u32>(), any::<bool>()).prop_map(|(lp_solves, pivots, fast_path)| {
+        SseSolveStats {
+            lp_solves,
+            pivots,
+            fast_path,
+        }
+    })
 }
 
 fn arb_outcome() -> impl Strategy<Value = AlertOutcome> {
@@ -106,7 +85,7 @@ fn arb_outcome() -> impl Strategy<Value = AlertOutcome> {
         (arb_f64(), arb_f64(), arb_f64(), arb_f64(), arb_f64()),
         (arb_f64(), arb_f64(), arb_f64(), arb_f64()),
         (any::<bool>(), any::<bool>(), arb_f64(), arb_f64()),
-        (any::<u32>(), arb_f64(), arb_f64(), any::<u64>()),
+        (any::<u32>(), arb_f64(), arb_f64()),
         arb_stats(),
     )
         .prop_map(
@@ -115,7 +94,7 @@ fn arb_outcome() -> impl Strategy<Value = AlertOutcome> {
                 (ossp_utility, online_sse_utility, offline_sse_utility, ossp_att, online_att),
                 (p1, q1, p0, q0),
                 (ossp_deterred, ossp_applied, coverage_ossp, coverage_online),
-                (best_raw, budget_after_ossp, budget_after_online, solve_micros),
+                (best_raw, budget_after_ossp, budget_after_online),
                 sse_stats,
             )| AlertOutcome {
                 index: index as usize,
@@ -135,7 +114,6 @@ fn arb_outcome() -> impl Strategy<Value = AlertOutcome> {
                 best_response: AlertTypeId(best_raw as u16),
                 budget_after_ossp,
                 budget_after_online,
-                solve_micros,
                 sse_stats,
             },
         )

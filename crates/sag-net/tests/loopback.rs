@@ -59,12 +59,6 @@ fn drive_direct(
     }
 }
 
-fn zero_solve_micros(result: &mut sag_core::CycleResult) {
-    for o in &mut result.outcomes {
-        o.solve_micros = 0;
-    }
-}
-
 #[test]
 fn network_replay_is_bitwise_identical_to_direct_handle() {
     let (served, mut direct) = twin_fleets();
@@ -84,7 +78,7 @@ fn network_replay_is_bitwise_identical_to_direct_handle() {
             for alert in day.alerts() {
                 outcomes.push(client.push_alert(session, alert).unwrap());
             }
-            let mut over_wire = client.finish_day(session).unwrap();
+            let over_wire = client.finish_day(session).unwrap();
             alerts_total += day.len() as u64;
             requests_total += day.len() as u64 + 2;
 
@@ -92,11 +86,8 @@ fn network_replay_is_bitwise_identical_to_direct_handle() {
             // final result carries.
             assert_eq!(over_wire.outcomes, outcomes);
 
-            let mut reference = drive_direct(&mut direct.service, &tenant.id, day, budget);
-            // Wall-clock solve time is the one legitimately nondeterministic
-            // field; everything else must survive the wire bit-for-bit.
-            zero_solve_micros(&mut over_wire);
-            zero_solve_micros(&mut reference);
+            // Every field must survive the wire bit-for-bit.
+            let reference = drive_direct(&mut direct.service, &tenant.id, day, budget);
             assert_eq!(
                 over_wire,
                 reference,
@@ -149,15 +140,16 @@ fn network_replay_is_bitwise_identical_to_direct_handle() {
     // without a simplex, so no LP is ever solved.
     assert_eq!(metric("sag_fast_path_solves_total"), alerts_total as f64);
     assert_eq!(metric("sag_lp_solves_total"), 0.0);
+    // The service timed every served push.
+    assert!(metric("sag_solve_micros_total") > 0.0);
 }
 
 #[test]
 fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
     // The cluster front door must be wire-invisible: the same fleet served
     // behind 1, 2, or 4 shards answers every request with the same bytes
-    // (modulo session ids, which clients treat as opaque, and wall-clock
-    // solve time), and the aggregated metrics page keeps the quiescent
-    // identity cluster-wide.
+    // (modulo session ids, which clients treat as opaque), and the
+    // aggregated metrics page keeps the quiescent identity cluster-wide.
     let scenario = scenario();
     let mut reference = {
         let (_, mut direct) = twin_fleets();
@@ -165,9 +157,7 @@ fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
         for tenant in &direct.tenants.clone() {
             for day in &tenant.test_days {
                 let budget = scenario.budget_for_day(day.day());
-                let mut r = drive_direct(&mut direct.service, &tenant.id, day, budget);
-                zero_solve_micros(&mut r);
-                results.push(r);
+                results.push(drive_direct(&mut direct.service, &tenant.id, day, budget));
             }
         }
         results
@@ -200,10 +190,8 @@ fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
                 for alert in day.alerts() {
                     client.push_alert(session, alert).unwrap();
                 }
-                let mut result = client.finish_day(session).unwrap();
+                over_wire.push(client.finish_day(session).unwrap());
                 requests_total += day.len() as u64 + 2;
-                zero_solve_micros(&mut result);
-                over_wire.push(result);
             }
         }
         over_wire.sort_by_key(|r| r.day);
@@ -291,6 +279,7 @@ fn counters_match_cycle_totals_for_a_replayed_scenario() {
         .map(|o| o.ossp_utility)
         .sum();
     assert!((snapshot.ossp_utility_sum - utility).abs() < 1e-9);
+    assert!(snapshot.solve_micros > 0, "served pushes were not timed");
 }
 
 #[test]
@@ -462,24 +451,33 @@ fn wire_errors_are_structured_and_the_stream_survives_bad_payloads() {
     assert!(matches!(reply, Ok(Response::DayOpened { .. })), "{reply:?}");
 
     // An OpenDay whose body names a different tenant than its envelope is
-    // refused before touching the service.
-    write_frame(
-        &mut raw,
-        &encode_request(
-            8,
-            &TenantId::from("someone-else"),
-            &Request::OpenDay {
-                tenant: tenant.clone(),
-                budget: None,
-                day: None,
-            },
-        ),
-    )
-    .unwrap();
-    let (id, reply): (u64, Reply) =
-        sag_net::codec::decode_reply(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
-    assert_eq!(id, 8);
-    assert!(matches!(reply, Err(WireError::BadRequest(_))), "{reply:?}");
+    // refused before touching the service. With two 40,000-byte tenants the
+    // refusal names over 80 KB of text, more than a string field holds: it
+    // must still arrive as one decodable reply, and the connection must
+    // serve the next request.
+    let long = |c: &str| TenantId::from(c.repeat(40_000));
+    for (id, envelope, body) in [
+        (8, long("a"), long("b")),
+        (9, TenantId::from("someone-else"), tenant.clone()),
+    ] {
+        write_frame(
+            &mut raw,
+            &encode_request(
+                id,
+                &envelope,
+                &Request::OpenDay {
+                    tenant: body,
+                    budget: None,
+                    day: None,
+                },
+            ),
+        )
+        .unwrap();
+        let (echoed, reply): (u64, Reply) =
+            sag_net::codec::decode_reply(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
+        assert_eq!(echoed, id);
+        assert!(matches!(reply, Err(WireError::BadRequest(_))), "{reply:?}");
+    }
 
     // A wrong-version handshake is answered (structured) and refused.
     let mut stale = std::net::TcpStream::connect(addr).unwrap();

@@ -21,14 +21,6 @@ const HISTORY_DAYS: u32 = 3;
 const TEST_DAYS: u32 = 2;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 /// Open one tenant-day on the cluster and return its cluster session id.
 fn open_day(
     cluster: &mut ClusterService,
@@ -54,7 +46,7 @@ fn finish_day(cluster: &mut ClusterService, session: SessionId) -> CycleResult {
         .handle(Request::FinishDay { session })
         .expect("day closes")
     {
-        Response::DayClosed { result, .. } => untimed(result),
+        Response::DayClosed { result, .. } => result,
         other => panic!("unexpected response {other:?}"),
     }
 }
@@ -89,7 +81,7 @@ fn unsharded_reference(scenario: &dyn Scenario) -> Vec<Vec<CycleResult>> {
                             .expect("control alert processes");
                     }
                     match service.handle(Request::FinishDay { session }) {
-                        Ok(Response::DayClosed { result, .. }) => untimed(result),
+                        Ok(Response::DayClosed { result, .. }) => result,
                         other => panic!("control FinishDay answered {other:?}"),
                     }
                 })

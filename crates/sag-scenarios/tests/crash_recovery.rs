@@ -19,14 +19,6 @@ use sag_sim::DayLog;
 const SEED: u64 = 2027;
 const HISTORY_DAYS: u32 = 4;
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 /// How the process dies at the chosen alert.
 #[derive(Debug, Clone, Copy)]
 enum Crash {
@@ -181,7 +173,7 @@ fn assert_crash_recovery_equivalence(scenario: &dyn Scenario) {
 
     let (builder, tenant) = builder_for(scenario, history.to_vec());
     let mut control_service = builder.build().expect("control build");
-    let control = untimed(drive_day(&mut control_service, &tenant, test_day, budget));
+    let control = drive_day(&mut control_service, &tenant, test_day, budget);
 
     let n = test_day.len();
     assert!(n >= 2, "{}: day too small to crash inside", scenario.name());
@@ -200,9 +192,8 @@ fn assert_crash_recovery_equivalence(scenario: &dyn Scenario) {
         ),
     ];
     for (kill_alert, crash) in cases {
-        let recovered = untimed(crashed_and_recovered(
-            scenario, history, test_day, budget, kill_alert, crash,
-        ));
+        let recovered =
+            crashed_and_recovered(scenario, history, test_day, budget, kill_alert, crash);
         assert_eq!(
             recovered,
             control,

@@ -10,14 +10,6 @@ use sag_scenarios::library::{MultiSite, PaperBaseline};
 use sag_scenarios::Scenario;
 use sag_sim::AlertLog;
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 fn assert_sharding_invariant(scenario: &dyn Scenario, seed: u64, history_days: u32, days: u32) {
     let engine = AuditCycleEngine::new(scenario.engine_config()).expect("scenario engine");
     let log = AlertLog::new(scenario.generate_days(seed, days));
@@ -41,18 +33,12 @@ fn assert_sharding_invariant(scenario: &dyn Scenario, seed: u64, history_days: u
         engine.replay_batch(&tuples).expect("batch replays")
     } else {
         engine.replay_sharded(&jobs, 1).expect("sharded replays")
-    }
-    .into_iter()
-    .map(untimed)
-    .collect();
+    };
 
     for shards in [2, 3, jobs.len() * 2] {
         let sharded: Vec<CycleResult> = engine
             .replay_sharded(&jobs, shards)
-            .expect("sharded replays")
-            .into_iter()
-            .map(untimed)
-            .collect();
+            .expect("sharded replays");
         assert_eq!(
             reference.len(),
             sharded.len(),

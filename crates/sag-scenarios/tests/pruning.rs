@@ -15,14 +15,6 @@ use sag_sim::AlertLog;
 const HISTORY_DAYS: u32 = 4;
 const DAYS: u32 = 6;
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 fn replay(scenario: &dyn Scenario, pruning: bool, seed: u64) -> Vec<CycleResult> {
     let mut config = scenario.engine_config();
     config.pruning = pruning;
@@ -37,12 +29,7 @@ fn replay(scenario: &dyn Scenario, pruning: bool, seed: u64) -> Vec<CycleResult>
             budget: scenario.budget_for_day(test_day.day()),
         })
         .collect();
-    engine
-        .replay_sharded(&jobs, 1)
-        .expect("scenario replays")
-        .into_iter()
-        .map(untimed)
-        .collect()
+    engine.replay_sharded(&jobs, 1).expect("scenario replays")
 }
 
 #[test]

@@ -20,14 +20,6 @@ const TENANTS: usize = 3;
 const HISTORY_DAYS: u32 = 4;
 const TEST_DAYS: u32 = 2;
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 /// Serial per-tenant reference: each tenant replayed alone, one shard, on
 /// its own seed — the ground truth the concurrent paths must reproduce.
 fn serial_reference(scenario: &dyn Scenario) -> Vec<Vec<CycleResult>> {
@@ -36,9 +28,6 @@ fn serial_reference(scenario: &dyn Scenario) -> Vec<Vec<CycleResult>> {
             run_scenario_sized(scenario, SEED + t as u64, 1, HISTORY_DAYS, TEST_DAYS)
                 .expect("serial replay")
                 .cycles
-                .into_iter()
-                .map(untimed)
-                .collect()
         })
         .collect()
 }
@@ -51,11 +40,7 @@ fn assert_pool_equivalence(scenario: &dyn Scenario) {
         .expect("service replay");
     assert_eq!(service.tenants, TENANTS);
     assert_eq!(service.workers, 4);
-    let concurrent: Vec<Vec<CycleResult>> = service
-        .cycles
-        .into_iter()
-        .map(|tenant| tenant.into_iter().map(untimed).collect())
-        .collect();
+    let concurrent: Vec<Vec<CycleResult>> = service.cycles;
     assert_eq!(
         concurrent,
         reference,
@@ -128,7 +113,7 @@ fn assert_interleaved_equivalence(scenario: &dyn Scenario) {
         }
         for (t, tenant_results) in results.iter_mut().enumerate() {
             let handle = open.remove(&t).expect("handle parked");
-            tenant_results.push(untimed(handle.finish()));
+            tenant_results.push(handle.finish());
         }
     }
 

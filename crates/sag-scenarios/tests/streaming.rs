@@ -13,14 +13,6 @@ use sag_core::CycleResult;
 use sag_scenarios::{registry, Scenario};
 use sag_sim::AlertLog;
 
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 /// Stream every rolling group of `scenario` through a session, check the
 /// results against the batch wrappers, bitwise, and return them.
 fn assert_streaming_equivalence(
@@ -49,7 +41,7 @@ fn assert_streaming_equivalence(
         for alert in test_day.alerts() {
             session.push_alert(alert).expect("alert processes");
         }
-        streamed.push(untimed(session.finish()));
+        streamed.push(session.finish());
     }
 
     // Batch leg 1: run_day per group (flat-budget scenarios only — run_day
@@ -60,7 +52,7 @@ fn assert_streaming_equivalence(
         .all(|&(_, t)| scenario.budget_for_day(t.day()).is_none())
     {
         for (&(history, test_day), reference) in groups.iter().zip(&streamed) {
-            let batch = untimed(engine.run_day(history, test_day).expect("day replays"));
+            let batch = engine.run_day(history, test_day).expect("day replays");
             assert_eq!(
                 &batch,
                 reference,
@@ -82,10 +74,7 @@ fn assert_streaming_equivalence(
     for shards in [1, 2, jobs.len() * 2] {
         let sharded: Vec<CycleResult> = engine
             .replay_sharded(&jobs, shards)
-            .expect("sharded replays")
-            .into_iter()
-            .map(untimed)
-            .collect();
+            .expect("sharded replays");
         assert_eq!(
             streamed, sharded,
             "{name} [{backend:?}]: {shards} shard(s) disagree with streaming"

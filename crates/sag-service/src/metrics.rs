@@ -24,6 +24,7 @@
 
 use sag_core::AlertOutcome;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Lock-free counters of everything an [`crate::AuditService`] served
 /// through [`handle`](crate::AuditService::handle).
@@ -45,8 +46,8 @@ pub struct ServiceCounters {
     pivots: AtomicU64,
     /// Alerts answered without an LP (the sweep or the closed form).
     fast_path_solves: AtomicU64,
-    /// Summed per-alert solve time in microseconds.
-    solve_micros: AtomicU64,
+    /// Summed time of the sessions' `push_alert` calls, in nanoseconds.
+    solve_nanos: AtomicU64,
     /// Duplicate deliveries suppressed by the request-id dedup window
     /// (replayed-from-cache plus stale-beyond-window). These are *not*
     /// requests: the command was never re-applied.
@@ -125,10 +126,14 @@ impl ServiceCounters {
             .fetch_add(u64::from(stats.pivots), Ordering::Relaxed);
         self.fast_path_solves
             .fetch_add(u64::from(stats.fast_path), Ordering::Relaxed);
-        self.solve_micros
-            .fetch_add(outcome.solve_micros, Ordering::Relaxed);
         add_f64(&self.ossp_utility_bits, outcome.ossp_utility);
         add_f64(&self.online_utility_bits, outcome.online_sse_utility);
+    }
+
+    /// A session took `elapsed` to decide one alert.
+    pub(crate) fn record_solve(&self, elapsed: Duration) {
+        self.solve_nanos
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// A relaxed-atomic read of every counter. See the module docs for what
@@ -144,7 +149,7 @@ impl ServiceCounters {
             lp_solves: self.lp_solves.load(Ordering::Relaxed),
             pivots: self.pivots.load(Ordering::Relaxed),
             fast_path_solves: self.fast_path_solves.load(Ordering::Relaxed),
-            solve_micros: self.solve_micros.load(Ordering::Relaxed),
+            solve_micros: self.solve_nanos.load(Ordering::Relaxed) / 1_000,
             dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
             dup_replayed: self.dup_replayed.load(Ordering::Relaxed),
             ossp_utility_sum: f64::from_bits(self.ossp_utility_bits.load(Ordering::Relaxed)),
@@ -174,7 +179,8 @@ pub struct CountersSnapshot {
     pub pivots: u64,
     /// Alerts answered without an LP (the sweep or the closed form).
     pub fast_path_solves: u64,
-    /// Summed per-alert solve time, microseconds.
+    /// Summed time of the sessions' `push_alert` calls, microseconds. The
+    /// service measures it around each call, WAL append excluded.
     pub solve_micros: u64,
     /// Duplicate deliveries suppressed by the dedup window (not counted
     /// in `requests`: nothing was re-applied).

@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 #[cfg(feature = "wal")]
 use crate::durability::{Durability, DurabilityOptions, WalTarget};
@@ -471,7 +472,9 @@ impl AuditService {
         result
     }
 
-    /// [`handle`](Self::handle) without touching the installed counters.
+    /// [`handle`](Self::handle) without the per-request accounting of
+    /// [`handle_counted`](Self::handle_counted); only the `PushAlert` arm
+    /// adds its session's solve time to the installed counters.
     fn handle_uncounted(
         &mut self,
         request: Request,
@@ -519,7 +522,13 @@ impl AuditService {
                         },
                     )?;
                 }
+                // The solve is timed here, after the WAL append, so the
+                // outcome itself stays a pure value.
+                let timer = self.counters.as_deref().map(|c| (c, Instant::now()));
                 let outcome = handle.push_alert(&alert)?;
+                if let Some((counters, started)) = timer {
+                    counters.record_solve(started.elapsed());
+                }
                 Ok(Response::Decision { session, outcome })
             }
             Request::FinishDay { session } => {

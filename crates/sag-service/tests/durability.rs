@@ -6,7 +6,7 @@
 #![cfg(feature = "wal")]
 
 use sag_core::engine::EngineBuilder;
-use sag_core::{AlertOutcome, CycleResult};
+use sag_core::CycleResult;
 use sag_service::{
     AuditService, DurabilityOptions, FailpointFs, MemFs, Request, Response, ServiceBuilder,
     ServiceError, SessionId, TenantId, WalError, WalFs,
@@ -15,25 +15,6 @@ use sag_sim::{DayLog, StreamConfig, StreamGenerator};
 
 const SEED: u64 = 2028;
 const HISTORY_DAYS: u32 = 4;
-
-/// Zero the wall-clock timing field so results compare exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
-fn untimed_outcomes(outcomes: &[AlertOutcome]) -> Vec<AlertOutcome> {
-    outcomes
-        .iter()
-        .cloned()
-        .map(|mut o| {
-            o.solve_micros = 0;
-            o
-        })
-        .collect()
-}
 
 /// One tenant's worth of generated data: history plus one test day.
 fn generate(seed: u64, test_alerts: usize) -> (Vec<DayLog>, DayLog) {
@@ -72,7 +53,7 @@ fn control_result(history: &[DayLog], test_day: &DayLog) -> CycleResult {
     let handle = service
         .open_day(&TenantId::from("icu"), None)
         .expect("opens");
-    untimed(handle.drive(test_day).expect("drives"))
+    handle.drive(test_day).expect("drives")
 }
 
 #[test]
@@ -128,7 +109,7 @@ fn command_api_recovery_rebuilds_history_sessions_and_counter() {
     else {
         panic!("unexpected response");
     };
-    assert_eq!(untimed(result), control);
+    assert_eq!(result, control);
 
     // Ids are never reused, even across the crash.
     let next = open_session(&mut recovered, &icu, test_day.day() + 1);
@@ -247,8 +228,7 @@ fn crash_at_every_alert_index_recovers_bitwise() {
                 }
             };
             assert_eq!(
-                untimed(result),
-                control,
+                result, control,
                 "kill_index={kill_index} tear_offset={tear_offset}"
             );
         }
@@ -277,7 +257,7 @@ fn recovered_open_session_state_is_bitwise_identical_mid_day() {
             .expect("push");
     }
     let live = service.session(session).expect("open");
-    let live_outcomes = untimed_outcomes(live.outcomes());
+    let live_outcomes = live.outcomes().to_vec();
     let live_budgets = (live.remaining_budget_ossp(), live.remaining_budget_online());
     drop(service);
 
@@ -285,7 +265,7 @@ fn recovered_open_session_state_is_bitwise_identical_mid_day() {
         .recover_on(Box::new(store), DurabilityOptions::default())
         .expect("recovers");
     let handle = recovered.session(session).expect("recovered");
-    assert_eq!(untimed_outcomes(handle.outcomes()), live_outcomes);
+    assert_eq!(handle.outcomes(), live_outcomes.as_slice());
     assert_eq!(
         (
             handle.remaining_budget_ossp(),
@@ -605,5 +585,5 @@ fn recovery_on_an_empty_store_is_a_clean_first_boot() {
     else {
         panic!("unexpected response");
     };
-    assert_eq!(untimed(result), control);
+    assert_eq!(result, control);
 }

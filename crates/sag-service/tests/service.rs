@@ -7,15 +7,6 @@ use sag_service::{AuditService, Request, Response, ServiceError, ServiceJob, Ten
 use sag_sim::{DayLog, StreamConfig, StreamGenerator};
 use std::collections::HashMap;
 
-/// A cycle result with the wall-clock timing field zeroed, so independent
-/// replays of the same day can be compared for exact (bitwise) equality.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 fn multi_type_logs(seed: u64) -> (Vec<DayLog>, DayLog) {
     let mut gen = StreamGenerator::new(StreamConfig::paper_multi_type(seed));
     let (history, mut tests) = gen.generate_split(8, 1);
@@ -30,7 +21,7 @@ fn single_type_logs(seed: u64) -> (Vec<DayLog>, DayLog) {
 
 /// The engine's batch answer for the same logs, for bitwise comparison.
 fn reference(engine: &AuditCycleEngine, history: &[DayLog], day: &DayLog) -> CycleResult {
-    untimed(engine.run_day(history, day).unwrap())
+    engine.run_day(history, day).unwrap()
 }
 
 #[test]
@@ -70,11 +61,7 @@ fn session_handles_live_in_maps_move_across_threads_and_match_run_day() {
 
     for ((id, result), (_, history, day)) in results.into_iter().zip(&tenants) {
         let engine = service.engine(&id).unwrap();
-        assert_eq!(
-            untimed(result),
-            reference(engine, history, day),
-            "tenant {id}"
-        );
+        assert_eq!(result, reference(engine, history, day), "tenant {id}");
     }
 }
 
@@ -144,7 +131,7 @@ fn command_loop_multiplexes_heterogeneous_tenants_bitwise() {
     }
 
     let mut close = |session| match service.handle(Request::FinishDay { session }).unwrap() {
-        Response::DayClosed { result, tenant, .. } => (tenant, untimed(result)),
+        Response::DayClosed { result, tenant, .. } => (tenant, result),
         other => panic!("unexpected response {other:?}"),
     };
     let (hospital_tenant, hospital_result) = close(hospital);
@@ -196,19 +183,8 @@ fn replay_concurrent_is_bitwise_identical_to_inline_replay() {
         .iter()
         .map(|(id, _, day)| ServiceJob::new(id, day))
         .collect();
-    let concurrent: Vec<CycleResult> = pooled
-        .replay_concurrent(&jobs)
-        .unwrap()
-        .into_iter()
-        .map(untimed)
-        .collect();
-    let serial: Vec<CycleResult> = inline
-        .replay_concurrent(&jobs)
-        .unwrap()
-        .into_iter()
-        .map(untimed)
-        .collect();
-    assert_eq!(concurrent, serial);
+    let concurrent = pooled.replay_concurrent(&jobs).unwrap();
+    assert_eq!(concurrent, inline.replay_concurrent(&jobs).unwrap());
 
     // And both match the engines' own batch path.
     for (result, (id, history, day)) in concurrent.iter().zip(&tenants) {

@@ -1,10 +1,9 @@
 //! Compact binary encoding of alert logs.
 //!
-//! Real deployments retain months of alert history; the JSON/CSV exports in
-//! [`crate::export`] are convenient but verbose (≈ 60–100 bytes per alert).
-//! This module provides a fixed-width binary codec (9 bytes per alert plus a
-//! small header per day) built on [`bytes`], used for archiving synthetic
-//! datasets and for fast reload in long experiment sweeps.
+//! Real deployments retain months of alert history. This module provides a
+//! fixed-width binary codec (9 bytes per alert plus a small header per day)
+//! built on [`bytes`], used for archiving synthetic datasets and for fast
+//! reload in long experiment sweeps.
 //!
 //! ## Format
 //!

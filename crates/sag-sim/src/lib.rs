@@ -20,8 +20,8 @@
 //! * a **calibrated alert-stream generator** ([`stream`]) that reproduces the
 //!   per-type daily mean/standard deviation of Table 1 directly, which is what
 //!   the audit-game experiments consume;
-//! * an in-memory **alert log store** ([`log`]) with CSV/JSON-lines export
-//!   ([`export`]).
+//! * an in-memory **alert log store** ([`log`]) with a compact binary codec
+//!   ([`binary`]).
 //!
 //! The audit-game algorithms in `sag-core` only ever observe the typed alert
 //! stream and historical per-type arrival statistics, so matching the arrival
@@ -32,7 +32,6 @@
 pub mod access;
 pub mod alert;
 pub mod binary;
-pub mod export;
 pub mod geo;
 pub mod log;
 pub mod names;

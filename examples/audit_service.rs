@@ -137,7 +137,7 @@ fn main() -> sag::Result<()> {
     // 5. The same days as owned handles driven on threads: a SessionHandle
     //    has no lifetime, so it moves wholesale onto whatever thread serves
     //    that tenant's feed. Results are bitwise identical to the loop
-    //    above (modulo wall-clock timing fields).
+    //    above.
     let hospital_id = TenantId::from("regional-hospital");
     let fraud_id = TenantId::from("fraud-desk");
     let hospital_handle = service.open_day(&hospital_id, None)?;

@@ -75,8 +75,4 @@ fn main() {
         "  attacks fully deterred    : {:.1}% of alerts",
         summary.fraction_deterred * 100.0
     );
-    println!(
-        "  mean optimization time    : {:.0} microseconds/alert",
-        summary.mean_solve_micros
-    );
 }

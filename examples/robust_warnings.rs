@@ -22,14 +22,6 @@
 
 use sag::prelude::*;
 
-/// Zero the wall-clock timing field so two runs can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
-}
-
 fn builder(history: Vec<sag::sim::DayLog>) -> ServiceBuilder {
     AuditService::builder().workers(0).tenant_with_history(
         "county-hospital",
@@ -51,7 +43,7 @@ fn main() -> sag::Result<()> {
 
     // 1. Ground truth: the same day with no crash and no WAL.
     let control_service = builder(history.clone()).build()?;
-    let control = untimed(control_service.open_day(&hospital, None)?.drive(&day)?);
+    let control = control_service.open_day(&hospital, None)?.drive(&day)?;
     println!(
         "uninterrupted day: {} alerts, mean OSSP utility {:.2}",
         control.len(),
@@ -123,7 +115,6 @@ fn main() -> sag::Result<()> {
     else {
         unreachable!()
     };
-    let result = untimed(result);
     println!(
         "finished after recovery: {} alerts, mean OSSP utility {:.2}",
         result.len(),
