@@ -407,8 +407,8 @@ impl ClusterService {
     }
 
     /// Tear the cluster apart into its router and shard services, in shard
-    /// order — how the network front door takes ownership to give every
-    /// shard its own service thread.
+    /// order — how the network front door takes ownership to put every
+    /// shard behind its own lock.
     #[must_use]
     pub fn into_shards(self) -> (ShardRouter, Vec<AuditService>) {
         (self.router, self.shards)

@@ -22,9 +22,10 @@
 //! shard's crash is recovered from `<dir>/shard-<i>` with
 //! [`ClusterBuilder::recover_shard`] while every other shard keeps serving.
 //!
-//! The network front door lives in `sag-net`: `Server::start_cluster` gives
-//! each shard its own service thread behind one listener, with `/metrics`
-//! and `/healthz` aggregating across shards.
+//! The network front door lives in `sag-net`: `Server::start_cluster` puts
+//! each shard behind its own lock on one listener, where every connection
+//! thread serves its requests on the owning shard, with `/metrics` and
+//! `/healthz` aggregating across shards.
 
 #![forbid(unsafe_code)]
 

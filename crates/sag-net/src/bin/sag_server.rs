@@ -20,8 +20,9 @@
 //!
 //! With `--shards N` (N > 1) the same fleet is consistent-hashed across N
 //! independent `AuditService` shards behind the one listener — each shard
-//! its own service thread, counters, and (under `--wal-dir`) its own
-//! `shard-<i>` WAL subdirectory — and `/metrics` aggregates across shards.
+//! its own lock, counters, and (under `--wal-dir`) its own `shard-<i>` WAL
+//! subdirectory, served by whichever connection threads carry its
+//! tenants' requests — and `/metrics` aggregates across shards.
 
 use sag_net::{Server, ServerConfig};
 use sag_scenarios::{find_scenario, tenant_fleet_cluster_parts, tenant_fleet_parts};

@@ -886,6 +886,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, NetError> {
     Ok(Some(payload))
 }
 
+/// Does `buf` start with a whole frame (header and payload), so that
+/// [`read_frame`] over a reader holding these bytes returns without
+/// touching the socket?
+pub(crate) fn starts_with_whole_frame(buf: &[u8]) -> bool {
+    let Some((header, payload)) = buf.split_first_chunk::<8>() else {
+        return false;
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    payload.len() >= len
+}
+
 /// Write the 6-byte client handshake.
 ///
 /// # Errors
@@ -1078,5 +1089,18 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_frame_is_whole_only_once_its_last_byte_is_buffered() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"abc").unwrap();
+        write_frame(&mut wire, b"").unwrap();
+        for cut in 0..11 {
+            assert!(!starts_with_whole_frame(&wire[..cut]), "cut at {cut}");
+        }
+        assert!(starts_with_whole_frame(&wire[..11]));
+        assert!(starts_with_whole_frame(&wire[11..]));
+        assert!(!starts_with_whole_frame(&wire[12..]));
     }
 }

@@ -9,11 +9,11 @@
 //!
 //! Three properties define the design:
 //!
-//! * **Bounded everywhere.** The global job queue is a bounded channel and
-//!   every tenant has an admission quota; when either fills, the request
-//!   is *shed* with a structured [`WireError::Overloaded`] reply instead
-//!   of blocking the socket or growing a queue — see [`server`] for the
-//!   policy.
+//! * **Bounded everywhere.** Every shard bounds the requests admitted on
+//!   it and not yet served, and every tenant has an admission quota; when
+//!   either fills, the request is *shed* with a structured
+//!   [`WireError::Overloaded`] reply instead of blocking the socket or
+//!   growing a queue — see [`server`] for the policy.
 //! * **Bitwise-faithful transport.** `f64`s travel as IEEE-754 bits, so a
 //!   [`CycleResult`](sag_core::CycleResult) decoded off the wire compares
 //!   `==` to one computed in-process (the loopback integration test holds

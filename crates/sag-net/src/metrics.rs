@@ -6,8 +6,9 @@
 //! [`sag_service::AuditService::handle`] and knows nothing about sockets.
 //! This module adds the *transport* family: connections, frames, queue
 //! depth, shed requests — everything the service cannot see — plus
-//! per-tenant [`TenantGauge`]s that drive the backpressure decision itself
-//! (the pending count *is* the quota check, not a copy of it).
+//! per-tenant [`TenantGauge`]s and per-shard queue depths that drive the
+//! backpressure decision itself (each pending count *is* its bound's check,
+//! not a copy of it).
 //!
 //! Everything is relaxed atomics; the hot path takes no locks. The tenant
 //! registry is a `Mutex<HashMap>`, but connections clone the `Arc` once per
@@ -21,15 +22,27 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Count one more into `pending` unless it already holds `limit`; a refusal
+/// returns the count that blocked it and leaves `pending` as it was.
+fn try_charge(pending: &AtomicUsize, limit: usize) -> Result<(), usize> {
+    let seen = pending.fetch_add(1, Ordering::Relaxed);
+    if seen >= limit {
+        pending.fetch_sub(1, Ordering::Relaxed);
+        return Err(seen);
+    }
+    Ok(())
+}
+
 /// Per-tenant admission gauge: the pending count used for the quota check,
 /// plus what the tenant has been served and what was shed.
 #[derive(Debug)]
 pub struct TenantGauge {
     tenant: TenantId,
-    /// Requests admitted for this tenant and not yet answered. Incremented
-    /// by connection readers *before* enqueueing, decremented by the
-    /// service thread after the reply is produced — so the gauge bounds
-    /// queue + in-flight, not just queue.
+    /// Requests admitted for this tenant and not yet served. Incremented
+    /// at admission by the connection thread that read the request,
+    /// decremented by that thread once the shard has handled it — so the
+    /// gauge bounds the tenant's read-ahead and in-service requests across
+    /// all of its connections.
     pending: AtomicUsize,
     /// Requests shed because `pending` had reached the per-tenant limit.
     shed: AtomicU64,
@@ -60,16 +73,12 @@ impl TenantGauge {
     /// returns `Ok(())`, or records a shed and returns the pending count
     /// that blocked admission.
     pub(crate) fn try_admit(&self, limit: usize) -> Result<(), usize> {
-        let seen = self.pending.fetch_add(1, Ordering::Relaxed);
-        if seen >= limit {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
+        try_charge(&self.pending, limit).inspect_err(|_| {
             self.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(seen);
-        }
-        Ok(())
+        })
     }
 
-    /// A previously admitted request has been answered.
+    /// A previously admitted request has been served.
     pub(crate) fn release(&self) {
         self.pending.fetch_sub(1, Ordering::Relaxed);
     }
@@ -80,7 +89,8 @@ impl TenantGauge {
         add_f64(&self.ossp_utility_bits, ossp_utility);
     }
 
-    /// Requests currently admitted and unanswered.
+    /// Requests currently admitted and not yet served: read ahead by a
+    /// connection thread, waiting for their shard's lock, or in service.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.pending.load(Ordering::Relaxed)
@@ -122,9 +132,9 @@ pub struct NetMetrics {
     pub(crate) frames_in: AtomicU64,
     /// Reply frames written to sockets.
     pub(crate) frames_out: AtomicU64,
-    /// Requests sitting in the global service queue right now.
-    pub(crate) queue_depth: AtomicUsize,
-    /// Requests shed (per-tenant quota or global queue full), total.
+    /// Per shard: requests admitted and not yet served.
+    queue_depth: Vec<AtomicUsize>,
+    /// Requests shed (per-tenant quota or shard queue full), total.
     pub(crate) shed: AtomicU64,
     /// Frames that failed to decode into a request.
     pub(crate) decode_errors: AtomicU64,
@@ -134,14 +144,15 @@ pub struct NetMetrics {
 }
 
 impl NetMetrics {
-    pub(crate) fn new() -> Self {
+    /// Fresh counters for a server of `shards` shards.
+    pub(crate) fn new(shards: usize) -> Self {
         NetMetrics {
             started: Instant::now(),
             connections_opened: AtomicU64::new(0),
             connections_closed: AtomicU64::new(0),
             frames_in: AtomicU64::new(0),
             frames_out: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
+            queue_depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             shed: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
             scrapes: AtomicU64::new(0),
@@ -157,16 +168,34 @@ impl NetMetrics {
             .clone()
     }
 
-    /// Requests shed so far (all tenants plus global-queue sheds).
+    /// Try to admit one request on `shard` under `capacity`: counts it
+    /// into the shard's queue depth, or returns `false` when `capacity`
+    /// requests are already admitted there and not yet served.
+    pub(crate) fn try_enqueue(&self, shard: usize, capacity: usize) -> bool {
+        try_charge(&self.queue_depth[shard], capacity).is_ok()
+    }
+
+    /// A request admitted on `shard` has been served.
+    pub(crate) fn dequeue(&self, shard: usize) {
+        self.queue_depth[shard].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Requests shed so far (all tenants plus shard-queue sheds).
     #[must_use]
     pub fn shed_total(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Requests sitting in the global service queue right now.
+    /// Requests admitted and not yet served right now, summed over shards:
+    /// read ahead by connection threads, waiting for a shard's lock, or in
+    /// service. Each shard's share is bounded by
+    /// [`ServerConfig::queue_capacity`](crate::ServerConfig::queue_capacity).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::Relaxed)
+        self.queue_depth
+            .iter()
+            .map(|depth| depth.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Seconds since the server started.
@@ -312,8 +341,22 @@ mod tests {
     }
 
     #[test]
+    fn shard_queues_shed_at_capacity_and_sum_into_the_depth() {
+        let metrics = NetMetrics::new(2);
+        assert!(metrics.try_enqueue(0, 1));
+        assert!(!metrics.try_enqueue(0, 1));
+        assert!(metrics.try_enqueue(1, 1));
+        assert_eq!(metrics.queue_depth(), 2);
+        metrics.dequeue(0);
+        assert!(metrics.try_enqueue(0, 1));
+        metrics.dequeue(0);
+        metrics.dequeue(1);
+        assert_eq!(metrics.queue_depth(), 0);
+    }
+
+    #[test]
     fn rendered_page_parses_back() {
-        let metrics = NetMetrics::new();
+        let metrics = NetMetrics::new(1);
         metrics.frames_in.fetch_add(7, Ordering::Relaxed);
         let gauge = metrics.tenant_gauge(&TenantId::from("icu"));
         gauge.record_decision(-1.5);

@@ -3,48 +3,62 @@
 //!
 //! ## Threading model
 //!
-//! A service owns per-tenant engines behind `&mut self`, so exactly one
-//! **service thread per shard** drives [`AuditService::handle`], consuming
-//! jobs from its own *bounded* [`std::sync::mpsc::sync_channel`]. The
-//! unsharded [`Server::start`] is literally the one-shard special case of
-//! [`Server::start_cluster`]: same acceptor, same readers, one queue, one
-//! service thread. Everything in front of the queues is allowed to be
-//! many: an **acceptor** thread hands each connection to its own
-//! **reader** thread (decodes frames, admits against quotas, routes to the
-//! owning shard's queue via the [`ShardRouter`], enqueues) paired with a
-//! **writer** thread (sends replies back in request order).
+//! An **acceptor** thread hands each connection to a thread of its own,
+//! and that thread serves the connection's requests from start to finish:
+//! it reads them, admits them, serves them and writes the replies, with no
+//! hand-off to any other thread. Each shard is one [`AuditService`] behind
+//! a `Mutex`; a connection thread holds its request's shard lock only
+//! while [`AuditService::handle_tagged`] runs and the session bookkeeping
+//! around it is done, so connections on different shards never wait on
+//! each other and connections on one shard take turns request by request.
+//! The unsharded [`Server::start`] is the one-shard case of
+//! [`Server::start_cluster`]: same acceptor, same connection threads, one
+//! lock.
 //!
 //! Shards never share state — each has its own engines, counters, and (when
 //! durable) WAL directory — so the only cross-shard artifacts are the
 //! session ids on the wire, which carry their shard in the low bits
-//! (`cluster = local × N + shard`). Readers route session requests by that
-//! residue without any lookup; service threads translate ids at the
-//! boundary, so each shard still sees its own dense local sequence.
+//! (`cluster = local × N + shard`). Connection threads route session
+//! requests by that residue without any lookup and translate ids at the
+//! shard boundary, so each shard still sees its own dense local sequence.
 //!
 //! ## Backpressure and shedding
 //!
-//! Admission happens on the reader thread, *before* the queue:
+//! A connection thread reads ahead: it blocks for one frame, takes every
+//! further whole frame already in its read buffer, and admits the batch in
+//! arrival order before serving any of it. Admission has two bounds:
 //!
 //! 1. **Per-tenant quota** — each tenant's [`TenantGauge`] counts admitted
-//!    but unanswered requests; at [`ServerConfig::tenant_pending_limit`]
-//!    the request is shed with a structured
-//!    [`WireError::Overloaded`] reply. One tenant flooding its
-//!    queue cannot starve the others past its quota.
-//! 2. **Global bound** — the job queue itself is bounded
-//!    ([`ServerConfig::queue_capacity`]); `try_send` never blocks the
-//!    reader, so a full queue sheds instead of wedging the socket.
+//!    but unserved requests; at [`ServerConfig::tenant_pending_limit`]
+//!    the request is shed with a structured [`WireError::Overloaded`]
+//!    reply. One tenant flooding the server cannot starve the others past
+//!    its quota.
+//! 2. **Per-shard bound** — at most [`ServerConfig::queue_capacity`]
+//!    requests may be admitted on one shard and not yet served, across all
+//!    connections; beyond that the request is shed the same way.
+//!    `sag_queue_depth` reports that count, summed over shards.
 //!
-//! A shed reply travels through the same ordered reply path as a served
-//! one, so pipelined clients see responses in the order they asked.
+//! Admission never blocks, so a flood sheds instead of wedging a socket.
 //! Nothing about shedding touches session state: a shed request can be
 //! retried verbatim once the backlog drains.
 //!
 //! ## Reply ordering
 //!
-//! The reader gives every admitted (or shed) request a one-shot channel
-//! and queues the receiving half to the writer in arrival order; the
-//! writer blocks on the *oldest* outstanding reply. Pipelining costs the
-//! client nothing and replies can never reorder.
+//! A batch is answered in arrival order, a shed request's reply in its
+//! place, so pipelined clients see responses in the order they asked.
+//! Each reply is written and flushed before the next request is served:
+//! no reply waits behind later requests' work, such as a durable shard's
+//! fsync.
+//!
+//! ## Shutdown
+//!
+//! [`Server::shutdown`] stops the acceptor, shuts down every open socket
+//! and joins every connection thread. A connection thread first finishes
+//! the batch it has read: every admitted request is served, and released
+//! from its gauges, even when its reply can no longer be written. Such a
+//! request was applied, so the client's retry under the same id is
+//! answered from the dedup window. A request cut off mid-frame was never
+//! read and is not applied.
 //!
 //! ## The metrics endpoint
 //!
@@ -59,8 +73,8 @@
 //! the one page a probe scrapes.
 
 use crate::codec::{
-    decode_request, encode_reply, encode_reply_capped, read_frame, write_frame, NetError, Reply,
-    WireError, MAGIC, MAX_FRAME, VERSION,
+    decode_request, encode_reply, encode_reply_capped, read_frame, starts_with_whole_frame,
+    write_frame, NetError, Reply, WireError, MAGIC, MAX_FRAME, VERSION,
 };
 use crate::metrics::{NetMetrics, TenantGauge};
 use bytes::Bytes;
@@ -69,26 +83,27 @@ use sag_service::{
     AuditService, CountersSnapshot, Handled, Request, Response, ServiceCounters, TenantId,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Capacity of the global bounded job queue in front of the service
-    /// thread. A full queue sheds (never blocks the readers).
+    /// Per-shard bound on requests admitted and not yet served, over all
+    /// connections. A request beyond it is shed with
+    /// [`WireError::Overloaded`]; admission never blocks.
     pub queue_capacity: usize,
-    /// Per-tenant bound on admitted-but-unanswered requests; beyond it the
+    /// Per-tenant bound on admitted-but-unserved requests; beyond it the
     /// tenant's requests are shed with [`WireError::Overloaded`].
     pub tenant_pending_limit: usize,
-    /// Test-only fault injection: sleep this long before serving each job,
-    /// so shedding tests can fill queues deterministically on fast
-    /// machines. `None` (the default) in production.
+    /// Test-only fault injection: sleep this long under the shard lock
+    /// before serving each request, so shedding tests can fill the bounds
+    /// deterministically on fast machines. `None` (the default) in
+    /// production.
     pub handle_delay: Option<Duration>,
 }
 
@@ -102,37 +117,41 @@ impl Default for ServerConfig {
     }
 }
 
-/// One unit of work for the service thread.
-struct Job {
+/// A request admitted on its shard and not yet served.
+struct Admitted {
     /// The idempotency envelope: the client-assigned request id…
     request_id: u64,
     /// …and the tenant it is scoped to.
     tenant: TenantId,
     request: Request,
-    /// One-shot reply path back to the connection's writer thread.
-    reply: Sender<Bytes>,
+    /// The owning shard.
+    shard: usize,
     /// The admission gauge charged for this request, released when served.
     gauge: Option<Arc<TenantGauge>>,
 }
 
 /// State shared by every thread of one server.
 struct Shared {
+    config: ServerConfig,
     net: Arc<NetMetrics>,
     /// Routes requests to shards; `ShardRouter::new(1)` (the identity
     /// translation) for an unsharded server.
     router: ShardRouter,
+    /// The shard services, indexed by shard.
+    shards: Vec<Mutex<AuditService>>,
     /// One counter sink per shard; the metrics page serves their sum.
     counters: Vec<Arc<ServiceCounters>>,
     /// Open session (cluster id) → the tenant gauge its requests are
-    /// charged to. Written only by the owning shard's service thread
-    /// (insert on `DayOpened`, remove on `DayClosed`); read by connection
-    /// readers at admission. Keyed by *cluster* ids, which are unique
-    /// across shards, so one map serves all of them.
+    /// charged to. Written under the owning shard's lock (insert on
+    /// `DayOpened`, remove on `DayClosed`); read at admission. Keyed by
+    /// *cluster* ids, which are unique across shards, so one map serves
+    /// all of them.
     session_gauges: Mutex<HashMap<u64, Arc<TenantGauge>>>,
     shutdown: AtomicBool,
-    /// Clones of every live protocol socket, so shutdown can unblock the
-    /// reader threads parked in `read_frame`.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A clone of every open socket, by connection number, so shutdown can
+    /// unblock the threads parked on them. Each thread removes its own
+    /// entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 impl Shared {
@@ -141,16 +160,28 @@ impl Shared {
         let shards: Vec<CountersSnapshot> = self.counters.iter().map(|c| c.snapshot()).collect();
         CountersSnapshot::sum(&shards)
     }
+
+    fn session_gauges(&self) -> MutexGuard<'_, HashMap<u64, Arc<TenantGauge>>> {
+        self.session_gauges
+            .lock()
+            .expect("session gauge map poisoned")
+    }
+
+    /// The connection registry. Every update to it is a single insert or
+    /// remove, so it stays valid even if a thread panicked holding it —
+    /// and shutdown, which runs in `Drop`, must not panic.
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running SAG network server. Dropping it shuts it down.
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    config: ServerConfig,
-    acceptor: Option<JoinHandle<()>>,
-    services: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// Returns the handles of the connection threads still running when it
+    /// stops.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -175,10 +206,10 @@ impl Server {
     }
 
     /// Bind `addr` and serve a whole [`ClusterService`] behind one
-    /// listener: one reader/writer pair per connection as usual, plus one
-    /// service thread *per shard*, each consuming its own bounded queue.
-    /// Readers route every request to its owning shard with the cluster's
-    /// [`ShardRouter`]; `/metrics` and `/healthz` aggregate across shards.
+    /// listener: one thread per connection as usual, each taking the lock
+    /// of the shard that owns its request. Connection threads route every
+    /// request with the cluster's [`ShardRouter`]; `/metrics` and
+    /// `/healthz` aggregate across shards.
     ///
     /// Installs a fresh [`ServiceCounters`] on any shard that lacks one
     /// (shards built via `ClusterBuilder::counters()` keep their sinks).
@@ -215,77 +246,36 @@ impl Server {
                 }
             })
             .collect();
-        let shared = Arc::new(Shared {
-            net: Arc::new(NetMetrics::new()),
-            router,
-            counters,
-            session_gauges: Mutex::new(HashMap::new()),
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
+        let net = Arc::new(NetMetrics::new(shards.len()));
         // Pre-register every tenant so the metrics page lists all of them
         // from the first scrape, served traffic or not.
         for shard in &shards {
             for tenant in shard.tenants() {
-                let _ = shared.net.tenant_gauge(tenant);
+                let _ = net.tenant_gauge(tenant);
             }
         }
+        let shared = Arc::new(Shared {
+            config,
+            net,
+            router,
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            counters,
+            session_gauges: Mutex::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+        });
 
-        // One bounded queue and one service thread per shard. Each queue
-        // gets the full configured capacity: the global bound scales with
-        // the fleet the way the worker pools and WAL directories do.
-        let mut job_txs = Vec::with_capacity(shards.len());
-        let mut services = Vec::with_capacity(shards.len());
-        for (shard_index, shard) in shards.into_iter().enumerate() {
-            let (job_tx, job_rx) = sync_channel::<Job>(config.queue_capacity);
-            job_txs.push(job_tx);
-            let shared = shared.clone();
-            let delay = config.handle_delay;
-            services.push(
-                thread::Builder::new()
-                    .name(format!("sag-service-{shard_index}"))
-                    .spawn(move || service_loop(shard, shard_index, &job_rx, &shared, delay))?,
-            );
-        }
-
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = shared.clone();
-            let config = config.clone();
-            let conn_threads = conn_threads.clone();
             thread::Builder::new()
                 .name("sag-acceptor".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let shared = shared.clone();
-                        let config = config.clone();
-                        let job_txs = job_txs.clone();
-                        let handle = thread::Builder::new()
-                            .name("sag-conn".into())
-                            .spawn(move || handle_connection(stream, &shared, &config, &job_txs));
-                        if let Ok(handle) = handle {
-                            conn_threads
-                                .lock()
-                                .expect("connection registry poisoned")
-                                .push(handle);
-                        }
-                    }
-                    // Dropping the master `job_txs` here lets the service
-                    // threads exit once the last connection hangs up.
-                })?
+                .spawn(move || accept_loop(&listener, &shared))?
         };
 
         Ok(Server {
             local_addr,
             shared,
-            config,
             acceptor: Some(acceptor),
-            services,
-            conn_threads,
         })
     }
 
@@ -326,7 +316,7 @@ impl Server {
     /// The configuration the server was started with.
     #[must_use]
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Render the metrics page exactly as the endpoint serves it
@@ -336,37 +326,22 @@ impl Server {
         self.shared.net.render(&self.shared.snapshot())
     }
 
-    /// Stop accepting, unblock and drain every connection, serve what was
-    /// already admitted, and join all threads. Idempotent.
+    /// Stop accepting, unblock every connection, serve what was already
+    /// admitted, and join all threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the acceptor out of `accept`.
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        // Unblock reader threads parked on their sockets; admitted jobs
-        // still get served and written back before the writers exit.
-        for stream in self
-            .shared
-            .conns
-            .lock()
-            .expect("connection registry poisoned")
-            .iter()
-        {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        // Once the acceptor has stopped, every connection thread is
+        // registered: unblock them all, then join them.
+        let conn_threads = acceptor.join().unwrap_or_default();
+        for stream in self.shared.conns().values() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        let handles: Vec<_> = std::mem::take(
-            &mut *self
-                .conn_threads
-                .lock()
-                .expect("connection registry poisoned"),
-        );
-        for handle in handles {
-            let _ = handle.join();
-        }
-        // All job senders are gone now; the service threads drain and exit.
-        for handle in self.services.drain(..) {
+        for handle in conn_threads {
             let _ = handle.join();
         }
     }
@@ -378,101 +353,46 @@ impl Drop for Server {
     }
 }
 
-/// The single thread that owns one [`AuditService`] shard.
-///
-/// Jobs arrive in cluster form; the shard sees local session ids
-/// ([`ShardRouter::to_local`]) and its responses and errors are translated
-/// back ([`ShardRouter::to_cluster`]) before anything touches the gauge
-/// maps or the wire — so every id a client or a reader ever sees is a
-/// cluster id. At one shard both translations are the identity.
-fn service_loop(
-    mut service: AuditService,
-    shard_index: usize,
-    jobs: &Receiver<Job>,
-    shared: &Shared,
-    delay: Option<Duration>,
-) {
-    let router = shared.router;
-    for job in jobs {
-        shared.net.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        if let Some(delay) = delay {
-            thread::sleep(delay);
+/// Accept connections until shutdown, each on a thread of its own; return
+/// the handles of the connection threads still running.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) -> Vec<JoinHandle<()>> {
+    let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
         }
-        let request = router.to_local(job.request);
-        let reply: Reply = match service.handle_tagged(&job.tenant, job.request_id, request) {
-            Handled::Applied(result) => {
-                let result = result
-                    .map(|response| router.to_cluster(response, shard_index))
-                    .map_err(|e| router.to_cluster_error(e, shard_index));
-                match &result {
-                    Ok(Response::DayOpened { session, tenant }) => {
-                        let gauge = job
-                            .gauge
-                            .clone()
-                            .unwrap_or_else(|| shared.net.tenant_gauge(tenant));
-                        shared
-                            .session_gauges
-                            .lock()
-                            .expect("session gauge map poisoned")
-                            .insert(session.raw(), gauge);
-                    }
-                    Ok(Response::Decision { outcome, .. }) => {
-                        if let Some(gauge) = &job.gauge {
-                            gauge.record_decision(outcome.ossp_utility);
-                        }
-                    }
-                    Ok(Response::DayClosed { session, .. }) => {
-                        shared
-                            .session_gauges
-                            .lock()
-                            .expect("session gauge map poisoned")
-                            .remove(&session.raw());
-                    }
-                    Err(_) => {}
-                }
-                result.map_err(|e| WireError::from(&e))
-            }
-            Handled::Replayed(response) => {
-                let response = router.to_cluster(response, shard_index);
-                // Nothing was re-applied, so no per-tenant decision stats —
-                // but a replayed DayOpened must (re-)register the session's
-                // gauge: after a crash+recover the map starts empty, and the
-                // session is live again.
-                if let Response::DayOpened { session, tenant } = &response {
-                    let gauge = shared.net.tenant_gauge(tenant);
-                    shared
-                        .session_gauges
-                        .lock()
-                        .expect("session gauge map poisoned")
-                        .insert(session.raw(), gauge);
-                }
-                Ok(response)
-            }
-            Handled::Stale {
-                request_id,
-                last_applied,
-            } => Err(WireError::Stale {
-                request_id,
-                last_applied,
-            }),
+        let Ok(stream) = stream else { continue };
+        // Join the threads of connections that ended since the last accept.
+        let (ended, running): (Vec<_>, Vec<_>) = std::mem::take(&mut conn_threads)
+            .into_iter()
+            .partition(JoinHandle::is_finished);
+        conn_threads = running;
+        for handle in ended {
+            let _ = handle.join();
+        }
+        // Register the socket before its thread starts, so a shutdown that
+        // has stopped this loop can reach every thread it will join.
+        let Ok(registered) = stream.try_clone() else {
+            continue;
         };
-        if let Some(gauge) = &job.gauge {
-            gauge.release();
+        shared.conns().insert(id, registered);
+        let conn_shared = shared.clone();
+        let spawned = thread::Builder::new()
+            .name("sag-conn".into())
+            .spawn(move || {
+                handle_connection(stream, &conn_shared);
+                conn_shared.conns().remove(&id);
+            });
+        match spawned {
+            Ok(handle) => conn_threads.push(handle),
+            Err(_) => drop(shared.conns().remove(&id)),
         }
-        // A dead connection just drops its replies; nothing to do here.
-        let _ = job
-            .reply
-            .send(encode_reply_capped(job.request_id, &reply, MAX_FRAME));
     }
+    conn_threads
 }
 
 /// Dispatch one accepted connection: protocol handshake or metrics scrape.
-fn handle_connection(
-    mut stream: TcpStream,
-    shared: &Shared,
-    config: &ServerConfig,
-    job_txs: &[SyncSender<Job>],
-) {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     // Replies are single buffered frames; leaving Nagle on would hold each
     // one hostage to the peer's delayed ACK (~40ms per round trip).
     let _ = stream.set_nodelay(true);
@@ -504,14 +424,7 @@ fn handle_connection(
         .net
         .connections_opened
         .fetch_add(1, Ordering::Relaxed);
-    if let Ok(registered) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .expect("connection registry poisoned")
-            .push(registered);
-    }
-    serve_protocol(stream, shared, config, job_txs);
+    serve_protocol(stream, shared);
     shared
         .net
         .connections_closed
@@ -546,155 +459,219 @@ fn serve_http(stream: &mut TcpStream, shared: &Shared) {
     let _ = stream.flush();
 }
 
-/// Reader half of one protocol connection (spawns its paired writer).
-fn serve_protocol(
-    stream: TcpStream,
-    shared: &Shared,
-    config: &ServerConfig,
-    job_txs: &[SyncSender<Job>],
-) {
-    let Ok(write_stream) = stream.try_clone() else {
+/// Serve one protocol connection batch by batch until the peer hangs up,
+/// the socket fails, or the server shuts down.
+fn serve_protocol(stream: TcpStream, shared: &Shared) {
+    let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    // FIFO of one-shot reply receivers: arrival order in, reply order out.
-    let (slot_tx, slot_rx) = std::sync::mpsc::channel::<Receiver<Bytes>>();
-    let writer = {
-        let net = shared.net.clone();
-        thread::Builder::new()
-            .name("sag-conn-writer".into())
-            .spawn(move || {
-                // Buffer so header + payload leave as one packet per frame.
-                let mut writer = std::io::BufWriter::new(write_stream);
-                for slot in slot_rx {
-                    let Ok(bytes) = slot.recv() else { continue };
-                    if write_frame(&mut writer, &bytes).is_err() {
-                        break;
-                    }
-                    // Count before the flush makes the frame visible to the
-                    // peer, so a client that scrapes metrics right after its
-                    // last reply never reads a counter lagging behind it.
-                    net.frames_out.fetch_add(1, Ordering::Relaxed);
-                    if writer.flush().is_err() {
-                        break;
-                    }
+    let mut reader = BufReader::new(stream);
+    // Buffer so header + payload leave as one packet per frame.
+    let mut writer = BufWriter::new(write_half);
+    let mut batch = Vec::new();
+    let (mut reading, mut writing) = (true, true);
+    while reading && writing && !shared.shutdown.load(Ordering::SeqCst) {
+        // Block for one frame, then take every whole frame buffered behind
+        // it: admitting them together is what lets a pipelining tenant
+        // reach its quota and shed.
+        loop {
+            match read_frame(&mut reader) {
+                Ok(Some(payload)) => batch.push(admit(&payload, shared)),
+                // Clean close, socket death, or a timeout.
+                Ok(None) | Err(NetError::Io(_)) | Err(NetError::Timeout { .. }) => {
+                    reading = false;
                 }
-                if let Ok(stream) = writer.into_inner() {
-                    let _ = stream.shutdown(Shutdown::Both);
+                Err(NetError::Codec(_)) => {
+                    // A torn, oversized or CRC-corrupt frame: the stream
+                    // offset can no longer be trusted, so any reply might
+                    // answer bytes the client never sent. Answer what came
+                    // before it and close — the client sees a dead
+                    // transport and safely retries under the same request
+                    // id.
+                    shared.net.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    reading = false;
                 }
-            })
-    };
-
-    let mut stream = stream;
-    let reply_now = |request_id: u64, reply: &Reply| {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = tx.send(encode_reply(request_id, reply));
-        let _ = slot_tx.send(rx);
-    };
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            // Clean close, socket death, or a timeout.
-            Ok(None) | Err(NetError::Io(_)) | Err(NetError::Timeout { .. }) => break,
-            Err(NetError::Codec(_)) => {
-                // A torn, oversized or CRC-corrupt frame: the stream offset
-                // can no longer be trusted, so any reply might answer bytes
-                // the client never sent. Close without one — the client
-                // sees a dead transport and safely retries under the same
-                // request id.
-                shared.net.decode_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            if !reading || !starts_with_whole_frame(reader.buffer()) {
                 break;
             }
-        };
-        shared.net.frames_in.fetch_add(1, Ordering::Relaxed);
-        let (request_id, envelope_tenant, request) = match decode_request(&payload) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                // The frame checksummed, so the stream is still in sync and
-                // this is a genuine client bug, not line noise: answer the
-                // bad payload structurally and keep serving.
-                shared.net.decode_errors.fetch_add(1, Ordering::Relaxed);
-                reply_now(0, &Err(WireError::BadRequest(e.to_string())));
-                continue;
-            }
-        };
-        if let Request::OpenDay { tenant, .. } = &request {
-            if *tenant != envelope_tenant {
-                reply_now(
-                    request_id,
-                    &Err(WireError::BadRequest(format!(
-                        "envelope tenant {envelope_tenant} does not match OpenDay tenant {tenant}"
-                    ))),
-                );
-                continue;
-            }
         }
+        for admission in batch.drain(..) {
+            let reply = match admission {
+                Ok(admitted) => serve(admitted, shared),
+                Err(refusal) => refusal,
+            };
+            // Once a write fails the rest of the batch is still served, so
+            // nothing admitted stays charged to a gauge; its replies drop.
+            writing = writing && write_reply(&mut writer, &reply, &shared.net).is_ok();
+        }
+    }
+    if let Ok(stream) = writer.into_inner() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
 
-        let gauge: Option<Arc<TenantGauge>> = match &request {
-            Request::OpenDay { tenant, .. } => Some(shared.net.tenant_gauge(tenant)),
-            Request::PushAlert { session, .. } | Request::FinishDay { session } => shared
-                .session_gauges
-                .lock()
-                .expect("session gauge map poisoned")
-                .get(&session.raw())
-                .cloned(),
-        };
+/// Write and flush one reply frame.
+fn write_reply(
+    writer: &mut BufWriter<TcpStream>,
+    reply: &[u8],
+    net: &NetMetrics,
+) -> std::io::Result<()> {
+    write_frame(writer, reply)?;
+    // Count before the flush makes the frame visible to the peer, so a
+    // client that scrapes metrics right after its last reply never reads a
+    // counter lagging behind it.
+    net.frames_out.fetch_add(1, Ordering::Relaxed);
+    writer.flush()
+}
+
+/// Decode one frame and admit it against its tenant's quota and its
+/// shard's bound. A frame that is refused — undecodable, mismatched or
+/// shed — gets its encoded error reply as the `Err`.
+fn admit(payload: &[u8], shared: &Shared) -> Result<Admitted, Bytes> {
+    let refuse = |request_id: u64, error: WireError| Err(encode_reply(request_id, &Err(error)));
+    shared.net.frames_in.fetch_add(1, Ordering::Relaxed);
+    let (request_id, envelope_tenant, request) = match decode_request(payload) {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            // The frame checksummed, so the stream is still in sync and
+            // this is a genuine client bug, not line noise: answer the bad
+            // payload structurally and keep serving.
+            shared.net.decode_errors.fetch_add(1, Ordering::Relaxed);
+            return refuse(0, WireError::BadRequest(e.to_string()));
+        }
+    };
+    if let Request::OpenDay { tenant, .. } = &request {
+        if *tenant != envelope_tenant {
+            return refuse(
+                request_id,
+                WireError::BadRequest(format!(
+                    "envelope tenant {envelope_tenant} does not match OpenDay tenant {tenant}"
+                )),
+            );
+        }
+    }
+
+    let config = &shared.config;
+    let gauge: Option<Arc<TenantGauge>> = match &request {
+        Request::OpenDay { tenant, .. } => Some(shared.net.tenant_gauge(tenant)),
+        Request::PushAlert { session, .. } | Request::FinishDay { session } => {
+            shared.session_gauges().get(&session.raw()).cloned()
+        }
+    };
+    if let Some(gauge) = &gauge {
+        if let Err(pending) = gauge.try_admit(config.tenant_pending_limit) {
+            shared.net.shed.fetch_add(1, Ordering::Relaxed);
+            return refuse(
+                request_id,
+                WireError::Overloaded {
+                    tenant: gauge.tenant().as_str().to_owned(),
+                    pending: pending as u64,
+                    limit: config.tenant_pending_limit as u64,
+                },
+            );
+        }
+    }
+    // Route to the owning shard: OpenDay by tenant hash, session requests
+    // by the shard encoded in the session id itself.
+    let shard = shared.router.shard_for_request(&request);
+    if !shared.net.try_enqueue(shard, config.queue_capacity) {
+        shared.net.shed.fetch_add(1, Ordering::Relaxed);
+        let tenant = gauge
+            .as_ref()
+            .map_or("", |g| g.tenant().as_str())
+            .to_owned();
         if let Some(gauge) = &gauge {
-            if let Err(pending) = gauge.try_admit(config.tenant_pending_limit) {
-                shared.net.shed.fetch_add(1, Ordering::Relaxed);
-                reply_now(
-                    request_id,
-                    &Err(WireError::Overloaded {
-                        tenant: gauge.tenant().as_str().to_owned(),
-                        pending: pending as u64,
-                        limit: config.tenant_pending_limit as u64,
-                    }),
-                );
-                continue;
-            }
+            gauge.release();
         }
-        // Route to the owning shard: OpenDay by tenant hash, session
-        // requests by the shard encoded in the session id itself.
-        let shard = shared.router.shard_for_request(&request);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let job = Job {
+        return refuse(
             request_id,
-            tenant: envelope_tenant,
-            request,
-            reply: tx,
-            gauge: gauge.clone(),
-        };
-        match job_txs[shard].try_send(job) {
-            Ok(()) => {
-                shared.net.queue_depth.fetch_add(1, Ordering::Relaxed);
-                let _ = slot_tx.send(rx);
-            }
-            Err(TrySendError::Full(_)) => {
-                if let Some(gauge) = &gauge {
-                    gauge.release();
-                }
-                shared.net.shed.fetch_add(1, Ordering::Relaxed);
-                let tenant = gauge
-                    .as_ref()
-                    .map_or("", |g| g.tenant().as_str())
-                    .to_owned();
-                reply_now(
-                    request_id,
-                    &Err(WireError::Overloaded {
-                        tenant,
-                        pending: config.queue_capacity as u64,
-                        limit: config.queue_capacity as u64,
-                    }),
-                );
-            }
-            // The server is shutting down; stop reading.
-            Err(TrySendError::Disconnected(_)) => break,
+            WireError::Overloaded {
+                tenant,
+                pending: config.queue_capacity as u64,
+                limit: config.queue_capacity as u64,
+            },
+        );
+    }
+    Ok(Admitted {
+        request_id,
+        tenant: envelope_tenant,
+        request,
+        shard,
+        gauge,
+    })
+}
+
+/// Serve one admitted request under its shard's lock, release its
+/// admission, and encode the reply.
+///
+/// The shard sees local session ids ([`ShardRouter::to_local`]); its
+/// responses and errors are translated back ([`ShardRouter::to_cluster`])
+/// before anything touches the gauge maps or the wire — so every id a
+/// client ever sees is a cluster id. At one shard both translations are
+/// the identity.
+fn serve(admitted: Admitted, shared: &Shared) -> Bytes {
+    let Admitted {
+        request_id,
+        tenant,
+        request,
+        shard,
+        gauge,
+    } = admitted;
+    let router = shared.router;
+    let reply: Reply = {
+        let mut service = shared.shards[shard].lock().expect("shard service poisoned");
+        if let Some(delay) = shared.config.handle_delay {
+            thread::sleep(delay);
         }
+        match service.handle_tagged(&tenant, request_id, router.to_local(request)) {
+            Handled::Applied(result) => {
+                let result = result
+                    .map(|response| router.to_cluster(response, shard))
+                    .map_err(|e| router.to_cluster_error(e, shard));
+                match &result {
+                    Ok(Response::DayOpened { session, tenant }) => {
+                        let gauge = gauge
+                            .clone()
+                            .unwrap_or_else(|| shared.net.tenant_gauge(tenant));
+                        shared.session_gauges().insert(session.raw(), gauge);
+                    }
+                    Ok(Response::Decision { outcome, .. }) => {
+                        if let Some(gauge) = &gauge {
+                            gauge.record_decision(outcome.ossp_utility);
+                        }
+                    }
+                    Ok(Response::DayClosed { session, .. }) => {
+                        shared.session_gauges().remove(&session.raw());
+                    }
+                    Err(_) => {}
+                }
+                result.map_err(|e| WireError::from(&e))
+            }
+            Handled::Replayed(response) => {
+                let response = router.to_cluster(response, shard);
+                // Nothing was re-applied, so no per-tenant decision stats —
+                // but a replayed DayOpened must (re-)register the session's
+                // gauge: after a crash+recover the map starts empty, and the
+                // session is live again.
+                if let Response::DayOpened { session, tenant } = &response {
+                    let gauge = shared.net.tenant_gauge(tenant);
+                    shared.session_gauges().insert(session.raw(), gauge);
+                }
+                Ok(response)
+            }
+            Handled::Stale {
+                request_id,
+                last_applied,
+            } => Err(WireError::Stale {
+                request_id,
+                last_applied,
+            }),
+        }
+    };
+    shared.net.dequeue(shard);
+    if let Some(gauge) = &gauge {
+        gauge.release();
     }
-    drop(slot_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
+    encode_reply_capped(request_id, &reply, MAX_FRAME)
 }

@@ -9,8 +9,10 @@ use sag_net::{fetch_metrics, parse_metric, Client, Reply, Server, ServerConfig, 
 use sag_scenarios::{find_scenario, tenant_fleet, tenant_fleet_cluster_parts, Scenario};
 use sag_service::{AuditService, Request, Response, TenantId};
 use sag_sim::DayLog;
+use std::collections::VecDeque;
 use std::io::Write as _;
-use std::time::Duration;
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 const SCENARIO: &str = "paper-baseline";
 const SEED: u64 = 31;
@@ -392,6 +394,189 @@ fn over_quota_tenant_sheds_while_others_progress() {
     );
     assert_eq!(
         metric(&format!("sag_tenant_shed_total{{tenant=\"{}\"}}", other.id)),
+        0.0
+    );
+}
+
+#[test]
+fn pipelined_connections_sharing_one_shard_all_finish() {
+    // Connections on one shard take turns at its lock, and std's Mutex is
+    // not fair. Eight tenants, each pipelining over its own connection into
+    // the one shard, must all finish, every day bitwise equal to the direct
+    // replay.
+    const FLEET: usize = 8;
+    const WINDOW: usize = 8;
+    let scenario = scenario();
+    let make = || tenant_fleet(scenario.as_ref(), SEED, FLEET, HISTORY_DAYS, TEST_DAYS).unwrap();
+    let (served, mut direct) = (make(), make());
+    let server = Server::start(served.service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let start = Barrier::new(FLEET);
+    let finished: Vec<(Duration, Vec<sag_core::CycleResult>)> = std::thread::scope(|scope| {
+        let connections: Vec<_> = served
+            .tenants
+            .iter()
+            .map(|tenant| {
+                let (start, scenario) = (&start, &scenario);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr, tenant.id.clone()).unwrap();
+                    start.wait();
+                    let begun = Instant::now();
+                    let mut results = Vec::new();
+                    for day in &tenant.test_days {
+                        let budget = scenario.budget_for_day(day.day());
+                        let session = client.open_day(budget, Some(day.day())).unwrap();
+                        let decision = |client: &mut Client, sent: u64| match client.recv() {
+                            Ok((id, Ok(Response::Decision { outcome, .. }))) if id == sent => {
+                                outcome
+                            }
+                            other => panic!("push {sent} answered {other:?}"),
+                        };
+                        let mut in_flight = VecDeque::with_capacity(WINDOW);
+                        let mut outcomes = Vec::with_capacity(day.len());
+                        for alert in day.alerts() {
+                            if in_flight.len() == WINDOW {
+                                let sent = in_flight.pop_front().unwrap();
+                                outcomes.push(decision(&mut client, sent));
+                            }
+                            let request = Request::PushAlert {
+                                session,
+                                alert: *alert,
+                            };
+                            in_flight.push_back(client.send(&request).unwrap());
+                        }
+                        for sent in in_flight {
+                            outcomes.push(decision(&mut client, sent));
+                        }
+                        let result = client.finish_day(session).unwrap();
+                        assert_eq!(result.outcomes, outcomes);
+                        results.push(result);
+                    }
+                    (begun.elapsed(), results)
+                })
+            })
+            .collect();
+        connections
+            .into_iter()
+            .map(|connection| connection.join().unwrap())
+            .collect()
+    });
+
+    for ((tenant, (elapsed, results)), i) in served.tenants.iter().zip(&finished).zip(0..) {
+        let alerts: usize = tenant.test_days.iter().map(DayLog::len).sum();
+        eprintln!(
+            "connection {i} ({}): {alerts} alerts in {elapsed:?}",
+            tenant.id
+        );
+        for (day, over_wire) in tenant.test_days.iter().zip(results) {
+            let budget = scenario.budget_for_day(day.day());
+            let reference = drive_direct(&mut direct.service, &tenant.id, day, budget);
+            assert_eq!(
+                *over_wire,
+                reference,
+                "tenant {} day {}",
+                tenant.id,
+                day.day()
+            );
+        }
+    }
+    assert_eq!(server.net_metrics().shed_total(), 0);
+    assert_eq!(server.net_metrics().queue_depth(), 0);
+}
+
+#[test]
+fn a_full_shard_queue_sheds_in_request_order_and_drains_to_zero() {
+    // `queue_capacity` bounds the requests admitted on a shard and not yet
+    // served. With a generous tenant quota and a slowed shard, a 12-deep
+    // pipelined burst reaches that bound, not the quota.
+    let (fleet, _) = twin_fleets();
+    let scenario = scenario();
+    let config = ServerConfig {
+        queue_capacity: 2,
+        tenant_pending_limit: 64,
+        handle_delay: Some(Duration::from_millis(25)),
+    };
+    let server = Server::start(fleet.service, "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+
+    let tenant = &fleet.tenants[0];
+    let day = &tenant.test_days[0];
+    let mut client = Client::connect(addr, tenant.id.clone()).unwrap();
+    let session = client
+        .open_day(scenario.budget_for_day(day.day()), Some(day.day()))
+        .unwrap();
+    let burst: Vec<_> = day.alerts().iter().take(12).copied().collect();
+    let ids: Vec<u64> = burst
+        .iter()
+        .map(|alert| {
+            client
+                .send(&Request::PushAlert {
+                    session,
+                    alert: *alert,
+                })
+                .unwrap()
+        })
+        .collect();
+
+    let mut served = 0usize;
+    let mut shed_indices = Vec::new();
+    for (i, &id) in ids.iter().enumerate() {
+        let (echoed, reply) = client.recv().unwrap();
+        assert_eq!(echoed, id, "reply {i} is out of request order");
+        match reply {
+            Ok(Response::Decision { .. }) => served += 1,
+            Err(WireError::Overloaded {
+                tenant: shed_tenant,
+                pending,
+                limit,
+            }) => {
+                assert_eq!(shed_tenant, tenant.id.as_str());
+                assert_eq!((pending, limit), (2, 2));
+                shed_indices.push(i);
+            }
+            other => panic!("burst reply {i} was {other:?}"),
+        }
+    }
+    assert!(served >= 1, "admitted requests were never served");
+    assert!(
+        !shed_indices.is_empty(),
+        "a 12-deep burst never filled a queue of 2"
+    );
+    assert_eq!(served + shed_indices.len(), burst.len());
+
+    // Shed requests are retryable once the queue drains.
+    for &i in &shed_indices {
+        let retry = Request::PushAlert {
+            session,
+            alert: burst[i],
+        };
+        loop {
+            match client.call(&retry).unwrap() {
+                Ok(Response::Decision { .. }) => break,
+                Err(WireError::Overloaded { .. }) => std::thread::sleep(Duration::from_millis(30)),
+                other => panic!("retry of alert {i} answered {other:?}"),
+            }
+        }
+    }
+    let result = client.finish_day(session).unwrap();
+    assert_eq!(result.len(), burst.len());
+
+    // Quiescent: nothing is admitted and unserved, and the shed was the
+    // shard bound's, not the tenant quota's.
+    let page = fetch_metrics(addr).unwrap();
+    let metric = |name: &str| parse_metric(&page, name).unwrap_or(-1.0);
+    assert_eq!(metric("sag_queue_depth"), 0.0);
+    assert!(metric("sag_shed_total") >= shed_indices.len() as f64);
+    assert_eq!(
+        metric(&format!(
+            "sag_tenant_shed_total{{tenant=\"{}\"}}",
+            tenant.id
+        )),
+        0.0
+    );
+    assert_eq!(
+        metric(&format!("sag_tenant_pending{{tenant=\"{}\"}}", tenant.id)),
         0.0
     );
 }
