@@ -3,14 +3,14 @@
 //! One module per concern:
 //!
 //! * [`experiments`] — the workload generators and experiment drivers that
-//!   regenerate every table and figure of the paper (see `DESIGN.md` for the
-//!   experiment index E1–E7);
+//!   regenerate every table and figure of the paper (`DESIGN.md`'s
+//!   "Experiment index" maps each `repro_*` binary to what it reproduces);
 //! * [`report`] — plain-text/CSV rendering of the results, used by the
-//!   `repro_*` binaries and recorded in `EXPERIMENTS.md`.
+//!   `repro_*` binaries.
 //!
 //! The Criterion benches under `benches/` measure the computational cost of
 //! the same code paths (per-alert optimization time, LP solves, stream
-//! generation), which is the paper's runtime claim (E5).
+//! generation), which is the paper's runtime claim (`repro_runtime`).
 
 #![forbid(unsafe_code)]
 

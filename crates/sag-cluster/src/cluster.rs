@@ -1,10 +1,10 @@
 //! The in-process cluster: N independent [`AuditService`] shards behind one
 //! typed [`Request`]/[`Response`] front door.
 //!
-//! Each shard owns its own engines, worker pool, counters, and — when the
-//! `wal` feature is on — its own WAL directory (`<dir>/shard-<i>`), so a
-//! crashed shard recovers from its own bytes while every other shard keeps
-//! serving untouched. Because the paper's scheme is per-tenant-independent,
+//! Each shard owns its own engines, worker pool, counters, and — when
+//! durable — its own WAL directory (`<dir>/shard-<i>`), so a crashed shard
+//! recovers from its own bytes while every other shard keeps serving
+//! untouched. Because the paper's scheme is per-tenant-independent,
 //! per-tenant results are bitwise-identical regardless of the shard count;
 //! the registry-wide suites in `sag-scenarios` assert exactly that against
 //! the unsharded service.
@@ -12,27 +12,48 @@
 use crate::router::ShardRouter;
 use sag_core::EngineBuilder;
 use sag_service::{
-    AuditService, Handled, Request, Response, ServiceBuilder, ServiceCounters, ServiceError,
-    TenantId,
+    AuditService, CountersSnapshot, DurabilityOptions, Handled, Request, Response, ServiceBuilder,
+    ServiceError, TenantId, WalError,
 };
 use sag_sim::DayLog;
-use std::sync::Arc;
-
-#[cfg(feature = "wal")]
-use sag_service::DurabilityOptions;
-#[cfg(feature = "wal")]
 use std::path::{Path, PathBuf};
-
-use sag_service::CountersSnapshot;
 
 /// The WAL directory a shard logs under: `<dir>/shard-<index>`.
 ///
 /// Exposed so operators and tests can point a single-shard recovery (or a
 /// disk-usage probe) at the right subtree without re-deriving the layout.
-#[cfg(feature = "wal")]
 #[must_use]
 pub fn shard_wal_dir(dir: impl AsRef<Path>, shard: usize) -> PathBuf {
     dir.as_ref().join(format!("shard-{shard}"))
+}
+
+/// Refuse a durable cluster directory that holds `.wal` or `.snap` files
+/// itself: that is an unsharded service's log, which no shard reads, so a
+/// recovery would boot empty past it. A 1-shard cluster keeps the
+/// unsharded session ids, so moving the files into `<dir>/shard-0`
+/// migrates the log.
+fn refuse_unsharded_log(dir: &Path) -> Result<(), ServiceError> {
+    let io = |e: std::io::Error| ServiceError::Wal(WalError::io(dir.display().to_string(), &e));
+    let entries = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        entries => entries.map_err(io)?,
+    };
+    for entry in entries {
+        let path = entry.map_err(io)?.path();
+        let extension = path.extension().and_then(|ext| ext.to_str());
+        if path.is_file() && matches!(extension, Some("wal" | "snap")) {
+            return Err(ServiceError::Wal(WalError::Io {
+                file: path.display().to_string(),
+                message: format!(
+                    "an unsharded service's log, which no cluster shard reads; move every \
+                     .wal and .snap file in {} into {} and start one shard",
+                    dir.display(),
+                    shard_wal_dir(dir, 0).display()
+                ),
+            }));
+        }
+    }
+    Ok(())
 }
 
 /// Builder for a [`ClusterService`]: tenant specs plus per-shard knobs.
@@ -48,9 +69,6 @@ pub struct ClusterBuilder {
     tenants: Vec<(TenantId, EngineBuilder, Vec<DayLog>)>,
     workers: Option<usize>,
     history_window: Option<usize>,
-    dedup_window: Option<usize>,
-    with_counters: bool,
-    #[cfg(feature = "wal")]
     durability: Option<(PathBuf, DurabilityOptions)>,
 }
 
@@ -63,9 +81,6 @@ impl ClusterBuilder {
             tenants: Vec::new(),
             workers: None,
             history_window: None,
-            dedup_window: None,
-            with_counters: false,
-            #[cfg(feature = "wal")]
             durability: None,
         }
     }
@@ -109,28 +124,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-tenant dedup window size (see [`ServiceBuilder::dedup_window`]).
-    #[must_use]
-    pub fn dedup_window(mut self, responses: usize) -> Self {
-        self.dedup_window = Some(responses);
-        self
-    }
-
-    /// Install a fresh, independent [`ServiceCounters`] on every shard.
-    /// Aggregate with [`ClusterService::counters_snapshot`] — the quiescent
-    /// identity (`requests == days_opened + alerts + days_closed + errors`)
-    /// holds on the summed snapshot because it holds on every shard's.
-    #[must_use]
-    pub fn counters(mut self) -> Self {
-        self.with_counters = true;
-        self
-    }
-
     /// Log every shard under `<dir>/shard-<i>` with default
     /// [`DurabilityOptions`]. Recovery stays shard-local: one shard's crash
     /// is recovered from its own subtree (see
     /// [`recover_shard`](Self::recover_shard)).
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn durable(self, dir: impl AsRef<Path>) -> Self {
         self.durable_with(dir, DurabilityOptions::default())
@@ -138,15 +135,18 @@ impl ClusterBuilder {
 
     /// [`durable`](Self::durable) with explicit options (applied to every
     /// shard).
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn durable_with(mut self, dir: impl AsRef<Path>, options: DurabilityOptions) -> Self {
         self.durability = Some((dir.as_ref().to_path_buf(), options));
         self
     }
 
-    /// Place every tenant and build one [`ServiceBuilder`] per shard.
-    fn into_shard_builders(self) -> (ShardRouter, Vec<ServiceBuilder>) {
+    /// Place every tenant and build one [`ServiceBuilder`] per shard,
+    /// after checking that a durable directory holds no unsharded log.
+    fn into_shard_builders(self) -> Result<(ShardRouter, Vec<ServiceBuilder>), ServiceError> {
+        if let Some((dir, _)) = &self.durability {
+            refuse_unsharded_log(dir)?;
+        }
         let router = self.router;
         let shards = router.num_shards();
         let mut per_shard: Vec<Vec<(TenantId, EngineBuilder, Vec<DayLog>)>> =
@@ -166,25 +166,16 @@ impl ClusterBuilder {
                 if let Some(days) = self.history_window {
                     builder = builder.history_window(days);
                 }
-                if let Some(responses) = self.dedup_window {
-                    builder = builder.dedup_window(responses);
-                }
-                if self.with_counters {
-                    builder = builder.counters(Arc::new(ServiceCounters::new()));
-                }
-                #[cfg(feature = "wal")]
                 if let Some((dir, options)) = &self.durability {
                     builder = builder.durable_with(shard_wal_dir(dir, shard), *options);
                 }
-                #[cfg(not(feature = "wal"))]
-                let _ = shard;
                 for (id, engine, history) in tenants {
                     builder = builder.tenant_with_history(id, engine, history);
                 }
                 builder
             })
             .collect();
-        (router, builders)
+        Ok((router, builders))
     }
 
     /// Build every shard fresh.
@@ -192,9 +183,11 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// Any shard's [`ServiceBuilder::build`] failure (duplicate tenant,
-    /// invalid engine config, or — when durable — pre-existing WAL state).
+    /// invalid engine config, or — when durable — pre-existing WAL state),
+    /// and [`ServiceError::Wal`] when the durable directory itself holds an
+    /// unsharded service's `.wal` or `.snap` files.
     pub fn build(self) -> Result<ClusterService, ServiceError> {
-        let (router, builders) = self.into_shard_builders();
+        let (router, builders) = self.into_shard_builders()?;
         let shards = builders
             .into_iter()
             .map(ServiceBuilder::build)
@@ -207,10 +200,12 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// Any shard's [`ServiceBuilder::recover`] failure.
-    #[cfg(feature = "wal")]
+    /// Any shard's [`ServiceBuilder::recover`] failure, and
+    /// [`ServiceError::Wal`] when the durable directory itself holds an
+    /// unsharded service's `.wal` or `.snap` files: recovering past them
+    /// would boot empty.
     pub fn recover(self) -> Result<ClusterService, ServiceError> {
-        let (router, builders) = self.into_shard_builders();
+        let (router, builders) = self.into_shard_builders()?;
         let shards = builders
             .into_iter()
             .map(ServiceBuilder::recover)
@@ -223,7 +218,6 @@ impl ClusterBuilder {
     /// # Errors
     ///
     /// Any shard's recovery failure.
-    #[cfg(feature = "wal")]
     pub fn recover_from(self, dir: impl AsRef<Path>) -> Result<ClusterService, ServiceError> {
         self.durable(dir).recover()
     }
@@ -238,20 +232,20 @@ impl ClusterBuilder {
     ///
     /// # Errors
     ///
-    /// The shard's [`ServiceBuilder::recover`] failure, or an
-    /// out-of-range `shard`.
-    #[cfg(feature = "wal")]
+    /// The shard's [`ServiceBuilder::recover`] failure, an out-of-range
+    /// `shard`, or an unsharded log in the durable directory (see
+    /// [`recover`](Self::recover)).
     pub fn recover_shard(self, shard: usize) -> Result<AuditService, ServiceError> {
         let num_shards = self.router.num_shards();
         if shard >= num_shards {
-            return Err(ServiceError::Wal(sag_service::WalError::Io {
+            return Err(ServiceError::Wal(WalError::Io {
                 file: format!("shard-{shard}"),
                 message: format!(
                     "shard index {shard} out of range for a {num_shards}-shard cluster"
                 ),
             }));
         }
-        let (_, mut builders) = self.into_shard_builders();
+        let (_, mut builders) = self.into_shard_builders()?;
         builders.swap_remove(shard).recover()
     }
 }
@@ -335,7 +329,6 @@ impl ClusterService {
     }
 
     /// Whether every shard logs through a WAL.
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn is_durable(&self) -> bool {
         self.shards.iter().all(AuditService::is_durable)
@@ -348,21 +341,12 @@ impl ClusterService {
     }
 
     /// Sum every shard's counters into one cluster-wide snapshot (see
-    /// [`CountersSnapshot::merged`]). `None` when no shard has counters
-    /// installed; shards without counters contribute zeros otherwise.
+    /// [`CountersSnapshot::sum`]). The quiescent identity (`requests ==
+    /// days_opened + alerts + days_closed + errors`) holds on the sum
+    /// because it holds on every shard's.
     #[must_use]
-    pub fn counters_snapshot(&self) -> Option<CountersSnapshot> {
-        let mut merged: Option<CountersSnapshot> = None;
-        for shard in &self.shards {
-            if let Some(counters) = shard.counters() {
-                let snapshot = counters.snapshot();
-                merged = Some(match merged {
-                    Some(sum) => sum.merged(&snapshot),
-                    None => snapshot,
-                });
-            }
-        }
-        merged
+    pub fn counters_snapshot(&self) -> CountersSnapshot {
+        CountersSnapshot::sum(self.shards.iter().map(|shard| shard.counters().snapshot()))
     }
 
     /// Serve one command, routed to the owning shard with session ids
@@ -392,18 +376,8 @@ impl ClusterService {
         request: Request,
     ) -> Handled {
         let shard = self.router.shard_for_request(&request);
-        let local = self.router.to_local(request);
-        match self.shards[shard].handle_tagged(tenant, request_id, local) {
-            Handled::Applied(result) => Handled::Applied(
-                result
-                    .map(|response| self.router.to_cluster(response, shard))
-                    .map_err(|error| self.router.to_cluster_error(error, shard)),
-            ),
-            Handled::Replayed(response) => {
-                Handled::Replayed(self.router.to_cluster(response, shard))
-            }
-            stale @ Handled::Stale { .. } => stale,
-        }
+        self.router
+            .handle_tagged(&mut self.shards[shard], shard, tenant, request_id, request)
     }
 
     /// Tear the cluster apart into its router and shard services, in shard
@@ -423,7 +397,6 @@ mod tests {
     fn two_tenant_cluster(shards: usize) -> ClusterService {
         ClusterService::builder(shards)
             .workers(0)
-            .counters()
             .tenant("alpha", EngineBuilder::paper_single_type())
             .tenant("beta", EngineBuilder::paper_multi_type())
             .build()
@@ -441,6 +414,58 @@ mod tests {
                 "{tenant} not on its hashed shard {shard}"
             );
         }
+    }
+
+    /// What `sag_server --wal-dir DIR [--recover]` meets over a directory
+    /// an unsharded service logged to: a refusal naming the move, never an
+    /// empty boot; after the move one shard resumes the open day.
+    #[test]
+    fn an_unsharded_log_is_refused_until_moved_into_shard_0() {
+        let dir = std::env::temp_dir().join(format!("sag_unsharded_log_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut service = AuditService::builder()
+            .workers(0)
+            .tenant("alpha", EngineBuilder::paper_single_type())
+            .durable_with(&dir, DurabilityOptions::no_fsync())
+            .build()
+            .unwrap();
+        let open = Request::OpenDay {
+            tenant: "alpha".into(),
+            budget: None,
+            day: None,
+        };
+        let Ok(Response::DayOpened { session, .. }) = service.handle(open) else {
+            panic!("the unsharded day did not open");
+        };
+        drop(service);
+
+        let shard0 = shard_wal_dir(&dir, 0);
+        let cluster = || {
+            ClusterService::builder(1)
+                .workers(0)
+                .tenant("alpha", EngineBuilder::paper_single_type())
+        };
+        for booted in [
+            cluster().recover_from(&dir),
+            cluster().durable(&dir).build(),
+        ] {
+            let Err(error) = booted else {
+                panic!("booted past an unsharded log");
+            };
+            let error = error.to_string();
+            assert!(error.contains(&*shard0.to_string_lossy()), "{error}");
+        }
+        std::fs::create_dir_all(&shard0).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_file() {
+                std::fs::rename(&path, shard0.join(path.file_name().unwrap())).unwrap();
+            }
+        }
+        let recovered = cluster().recover_from(&dir).expect("one shard recovers");
+        let open: Vec<SessionId> = recovered.shard(0).open_session_ids().collect();
+        assert_eq!(open, [session]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -542,7 +567,7 @@ mod tests {
                 session: SessionId::from_raw(999),
             })
             .unwrap_err();
-        let snapshot = cluster.counters_snapshot().expect("counters installed");
+        let snapshot = cluster.counters_snapshot();
         assert_eq!(snapshot.requests, 5);
         assert_eq!(snapshot.days_opened, 2);
         assert_eq!(snapshot.days_closed, 2);

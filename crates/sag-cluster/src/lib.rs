@@ -32,7 +32,5 @@
 mod cluster;
 mod router;
 
-#[cfg(feature = "wal")]
-pub use cluster::shard_wal_dir;
-pub use cluster::{ClusterBuilder, ClusterService};
+pub use cluster::{shard_wal_dir, ClusterBuilder, ClusterService};
 pub use router::ShardRouter;

@@ -28,7 +28,7 @@
 //! `recover_from` of its shard. With one shard the translation is the
 //! identity, so a 1-shard cluster is bitwise the unsharded service.
 
-use sag_service::{Request, Response, ServiceError, SessionId, TenantId};
+use sag_service::{AuditService, Handled, Request, Response, ServiceError, SessionId, TenantId};
 
 /// FNV-1a over the tenant id's UTF-8 bytes: tiny, dependency-free, and
 /// stable across platforms and releases (the placement is part of the WAL
@@ -154,6 +154,31 @@ impl ShardRouter {
                 ServiceError::UnknownSession(self.to_cluster_session(session, shard))
             }
             other => other,
+        }
+    }
+
+    /// Serve a cluster-form tagged request on `service`, the shard
+    /// [`shard_for_request`](Self::shard_for_request) names: translate it
+    /// to local ids ([`to_local`](Self::to_local)), call
+    /// [`AuditService::handle_tagged`], and translate the applied or
+    /// replayed response, or the error, back to cluster form. Both front
+    /// doors, `ClusterService` and the `sag-net` server, serve through it.
+    pub fn handle_tagged(
+        &self,
+        service: &mut AuditService,
+        shard: usize,
+        tenant: &TenantId,
+        request_id: u64,
+        request: Request,
+    ) -> Handled {
+        match service.handle_tagged(tenant, request_id, self.to_local(request)) {
+            Handled::Applied(result) => Handled::Applied(
+                result
+                    .map(|response| self.to_cluster(response, shard))
+                    .map_err(|error| self.to_cluster_error(error, shard)),
+            ),
+            Handled::Replayed(response) => Handled::Replayed(self.to_cluster(response, shard)),
+            stale @ Handled::Stale { .. } => stale,
         }
     }
 }

@@ -3,29 +3,29 @@
 //! ```text
 //! sag_server [--addr HOST:PORT] [--scenario NAME] [--tenants N] [--seed N]
 //!            [--history-days N] [--test-days N] [--queue N]
-//!            [--tenant-limit N] [--handle-delay-micros N]
-//!            [--wal-dir DIR] [--recover] [--shards N]
+//!            [--tenant-limit N] [--wal-dir DIR] [--recover] [--shards N]
 //! ```
 //!
 //! Builds `--tenants` instances of `--scenario` (each with its registered
-//! history, per [`sag_scenarios::tenant_fleet`]), starts the TCP front
-//! door, prints one `listening on ADDR` line to stdout, and serves until
-//! killed. The metrics page answers `curl http://ADDR/` on the same port,
-//! and `/healthz` answers `ok` — poll it for readiness instead of sleeping.
+//! history, per [`sag_scenarios::tenant_fleet_cluster_parts`]) on
+//! `--shards` independent `AuditService` shards (default 1), starts the TCP
+//! front door, prints one `listening on ADDR` line to stdout, and serves
+//! until killed. The metrics page answers `curl http://ADDR/` on the same
+//! port, summed over shards, and `/healthz` answers `ok` — poll it for
+//! readiness instead of sleeping.
 //!
-//! With `--wal-dir DIR` every mutation is logged before it is acknowledged;
-//! `--recover` additionally replays an existing WAL in DIR on boot, so a
-//! SIGKILLed server restarted with the same directory resumes with its
-//! open sessions, applied request ids, and dedup windows intact.
-//!
-//! With `--shards N` (N > 1) the same fleet is consistent-hashed across N
-//! independent `AuditService` shards behind the one listener — each shard
-//! its own lock, counters, and (under `--wal-dir`) its own `shard-<i>` WAL
-//! subdirectory, served by whichever connection threads carry its
-//! tenants' requests — and `/metrics` aggregates across shards.
+//! With `--wal-dir DIR` every mutation is logged before it is
+//! acknowledged, each shard under its own `DIR/shard-<i>` (`DIR/shard-0`
+//! unsharded); `--recover` additionally replays an existing WAL in DIR on
+//! boot, so a SIGKILLed server restarted with the same directory and shard
+//! count resumes with its open sessions, applied request ids, and dedup
+//! windows intact. A DIR that holds `.wal` or `.snap` files itself (an
+//! unsharded `AuditService`'s layout) is refused, with or without
+//! `--recover`, and the error names the move into `DIR/shard-0` that
+//! migrates it.
 
 use sag_net::{Server, ServerConfig};
-use sag_scenarios::{find_scenario, tenant_fleet_cluster_parts, tenant_fleet_parts};
+use sag_scenarios::{find_scenario, tenant_fleet_cluster_parts};
 use std::time::Duration;
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
@@ -47,10 +47,7 @@ fn main() {
     let config = ServerConfig {
         queue_capacity: parse_flag(&args, "--queue", 1024usize),
         tenant_pending_limit: parse_flag(&args, "--tenant-limit", 64usize),
-        handle_delay: match parse_flag(&args, "--handle-delay-micros", 0u64) {
-            0 => None,
-            micros => Some(Duration::from_micros(micros)),
-        },
+        ..ServerConfig::default()
     };
 
     let wal_dir = parse_flag(&args, "--wal-dir", String::new());
@@ -64,52 +61,27 @@ fn main() {
         }
         std::process::exit(2);
     };
-    let server = if shards > 1 {
-        let (builder, _tenants) = tenant_fleet_cluster_parts(
-            scenario.as_ref(),
-            seed,
-            tenants,
-            history_days,
-            test_days,
-            shards,
-        );
-        let cluster = match (wal_dir.as_str(), recover) {
-            ("", _) => builder.build(),
-            (dir, false) => builder.durable(dir).build(),
-            (dir, true) => builder.recover_from(dir),
-        };
-        let cluster = match cluster {
-            Ok(cluster) => cluster,
-            Err(e) => {
-                eprintln!("failed to build the tenant fleet: {e}");
-                std::process::exit(1);
-            }
-        };
-        Server::start_cluster(cluster, addr.as_str(), config)
-    } else {
-        let (builder, _tenants) =
-            tenant_fleet_parts(scenario.as_ref(), seed, tenants, history_days, test_days);
-        let service = match (wal_dir.as_str(), recover) {
-            ("", _) => builder.build(),
-            (dir, false) => builder.durable(dir).build(),
-            (dir, true) => builder.recover_from(dir),
-        };
-        let service = match service {
-            Ok(service) => service,
-            Err(e) => {
-                eprintln!("failed to build the tenant fleet: {e}");
-                std::process::exit(1);
-            }
-        };
-        Server::start(service, addr.as_str(), config)
-    };
-    let server = match server {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("failed to bind {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let (builder, _tenants) = tenant_fleet_cluster_parts(
+        scenario.as_ref(),
+        seed,
+        tenants,
+        history_days,
+        test_days,
+        shards,
+    );
+    let cluster = match (wal_dir.as_str(), recover) {
+        ("", _) => builder.build(),
+        (dir, false) => builder.durable(dir).build(),
+        (dir, true) => builder.recover_from(dir),
+    }
+    .unwrap_or_else(|e| {
+        eprintln!("failed to build the tenant fleet: {e}");
+        std::process::exit(1)
+    });
+    let server = Server::start_cluster(cluster, addr.as_str(), config).unwrap_or_else(|e| {
+        eprintln!("failed to bind {addr}: {e}");
+        std::process::exit(1)
+    });
 
     // The smoke harness waits for this exact prefix before driving load.
     println!(

@@ -2,8 +2,9 @@
 //! the plaintext rendering served on the metrics endpoint.
 //!
 //! Two counter families feed the endpoint. The *service* family
-//! ([`sag_service::ServiceCounters`]) is updated inside
-//! [`sag_service::AuditService::handle`] and knows nothing about sockets.
+//! ([`sag_service::ServiceCounters`], one per shard service) is updated
+//! inside [`sag_service::AuditService::handle_tagged`] and knows nothing
+//! about sockets.
 //! This module adds the *transport* family: connections, frames, queue
 //! depth, shed requests — everything the service cannot see — plus
 //! per-tenant [`TenantGauge`]s and per-shard queue depths that drive the

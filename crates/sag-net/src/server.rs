@@ -157,8 +157,7 @@ struct Shared {
 impl Shared {
     /// The cluster-wide service snapshot: field-wise sum over every shard.
     fn snapshot(&self) -> CountersSnapshot {
-        let shards: Vec<CountersSnapshot> = self.counters.iter().map(|c| c.snapshot()).collect();
-        CountersSnapshot::sum(&shards)
+        CountersSnapshot::sum(self.counters.iter().map(|c| c.snapshot()))
     }
 
     fn session_gauges(&self) -> MutexGuard<'_, HashMap<u64, Arc<TenantGauge>>> {
@@ -185,10 +184,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` and start serving `service` on background threads.
-    ///
-    /// Installs a fresh [`ServiceCounters`] on the service unless one is
-    /// already present (the existing sink keeps counting).
+    /// Bind `addr` and start serving `service` on background threads; the
+    /// metrics page reads the service's own [`ServiceCounters`].
     ///
     /// This is exactly [`Server::start_cluster`] with one shard: the
     /// session-id translation at shard count 1 is the identity, so the
@@ -209,10 +206,8 @@ impl Server {
     /// listener: one thread per connection as usual, each taking the lock
     /// of the shard that owns its request. Connection threads route every
     /// request with the cluster's [`ShardRouter`]; `/metrics` and
-    /// `/healthz` aggregate across shards.
-    ///
-    /// Installs a fresh [`ServiceCounters`] on any shard that lacks one
-    /// (shards built via `ClusterBuilder::counters()` keep their sinks).
+    /// `/healthz` aggregate across shards, summing every shard's own
+    /// [`ServiceCounters`].
     ///
     /// # Errors
     ///
@@ -228,23 +223,16 @@ impl Server {
 
     fn start_shards(
         router: ShardRouter,
-        mut shards: Vec<AuditService>,
+        shards: Vec<AuditService>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
 
-        let counters: Vec<Arc<ServiceCounters>> = shards
-            .iter_mut()
-            .map(|shard| match shard.counters() {
-                Some(existing) => existing.clone(),
-                None => {
-                    let fresh = Arc::new(ServiceCounters::new());
-                    shard.set_counters(fresh.clone());
-                    fresh
-                }
-            })
+        let counters = shards
+            .iter()
+            .map(|shard| shard.counters().clone())
             .collect();
         let net = Arc::new(NetMetrics::new(shards.len()));
         // Pre-register every tenant so the metrics page lists all of them
@@ -605,11 +593,10 @@ fn admit(payload: &[u8], shared: &Shared) -> Result<Admitted, Bytes> {
 /// Serve one admitted request under its shard's lock, release its
 /// admission, and encode the reply.
 ///
-/// The shard sees local session ids ([`ShardRouter::to_local`]); its
-/// responses and errors are translated back ([`ShardRouter::to_cluster`])
-/// before anything touches the gauge maps or the wire — so every id a
-/// client ever sees is a cluster id. At one shard both translations are
-/// the identity.
+/// [`ShardRouter::handle_tagged`] gives the shard local session ids and
+/// translates its response or error back to cluster ids before anything
+/// touches the gauge maps or the wire — so every id a client ever sees is
+/// a cluster id. At one shard both translations are the identity.
 fn serve(admitted: Admitted, shared: &Shared) -> Bytes {
     let Admitted {
         request_id,
@@ -618,17 +605,16 @@ fn serve(admitted: Admitted, shared: &Shared) -> Bytes {
         shard,
         gauge,
     } = admitted;
-    let router = shared.router;
     let reply: Reply = {
         let mut service = shared.shards[shard].lock().expect("shard service poisoned");
         if let Some(delay) = shared.config.handle_delay {
             thread::sleep(delay);
         }
-        match service.handle_tagged(&tenant, request_id, router.to_local(request)) {
+        match shared
+            .router
+            .handle_tagged(&mut service, shard, &tenant, request_id, request)
+        {
             Handled::Applied(result) => {
-                let result = result
-                    .map(|response| router.to_cluster(response, shard))
-                    .map_err(|e| router.to_cluster_error(e, shard));
                 match &result {
                     Ok(Response::DayOpened { session, tenant }) => {
                         let gauge = gauge
@@ -649,7 +635,6 @@ fn serve(admitted: Admitted, shared: &Shared) -> Bytes {
                 result.map_err(|e| WireError::from(&e))
             }
             Handled::Replayed(response) => {
-                let response = router.to_cluster(response, shard);
                 // Nothing was re-applied, so no per-tenant decision stats —
                 // but a replayed DayOpened must (re-)register the session's
                 // gauge: after a crash+recover the map starts empty, and the

@@ -224,13 +224,12 @@ fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
 #[test]
 fn counters_match_cycle_totals_for_a_replayed_scenario() {
     // Metrics consistency at the source: drive a scenario through a
-    // counter-instrumented service and check the exported counters against
-    // the CycleResults' own solver-work totals.
+    // service and check its counters against the CycleResults' own
+    // solver-work totals.
     let (fleet, _) = twin_fleets();
     let scenario = scenario();
     let mut service = fleet.service;
-    let counters = std::sync::Arc::new(sag_service::ServiceCounters::new());
-    service.set_counters(counters.clone());
+    let counters = service.counters().clone();
 
     let mut results = Vec::new();
     for tenant in &fleet.tenants {

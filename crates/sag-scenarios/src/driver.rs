@@ -388,7 +388,7 @@ pub fn tenant_fleet(
 
 /// The unbuilt half of [`tenant_fleet`]: the populated [`ServiceBuilder`]
 /// plus the per-tenant streams. Callers that need to decorate the service
-/// before building — a WAL directory, a dedup-window size, a recovery
+/// before building — a WAL directory, a worker count, a recovery
 /// (`recover_from`) instead of a fresh build — finish it themselves; the
 /// tenant naming and seeding convention stays identical to
 /// [`tenant_fleet`], so results remain comparable across entry points.
@@ -428,7 +428,7 @@ pub fn tenant_fleet_parts(
 /// bitwise identical to the unsharded fleet's at any shard count; the
 /// registry-wide suites in this crate's tests hold it to that.
 ///
-/// Callers finish the builder themselves (`workers`, `counters`,
+/// Callers finish the builder themselves (`workers`,
 /// `durable`/`recover_from`, or per-shard `recover_shard`), exactly like
 /// the unsharded parts function.
 #[must_use]

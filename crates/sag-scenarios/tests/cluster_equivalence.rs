@@ -136,7 +136,7 @@ fn assert_cluster_equivalence(scenario: &dyn Scenario, wal_dir: Option<&std::pat
     for shards in SHARD_COUNTS {
         let (builder, fleet) =
             tenant_fleet_cluster_parts(scenario, SEED, TENANTS, HISTORY_DAYS, TEST_DAYS, shards);
-        let builder = builder.workers(0).counters();
+        let builder = builder.workers(0);
         let builder = match wal_dir {
             Some(dir) => {
                 let dir = dir.join(format!("{}-s{shards}", scenario.name()));
@@ -167,7 +167,7 @@ fn assert_cluster_equivalence(scenario: &dyn Scenario, wal_dir: Option<&std::pat
         );
         // Satellite invariant: the quiescent counter identity must hold on
         // the *aggregated* snapshot, not just per shard.
-        let snapshot = cluster.counters_snapshot().expect("counters installed");
+        let snapshot = cluster.counters_snapshot();
         assert!(
             snapshot.quiescent_identity_holds(),
             "{}: cluster-wide identity violated at {shards} shards: {snapshot:?}",
@@ -215,10 +215,7 @@ fn assert_single_shard_crash_recovery(scenario: &dyn Scenario, root: &std::path:
     let parts = || {
         let (builder, fleet) =
             tenant_fleet_cluster_parts(scenario, SEED, TENANTS, HISTORY_DAYS, TEST_DAYS, SHARDS);
-        (
-            builder.workers(0).counters().durable_with(&dir, options),
-            fleet,
-        )
+        (builder.workers(0).durable_with(&dir, options), fleet)
     };
     let (builder, fleet) = parts();
     let mut cluster = builder.build().expect("durable cluster builds");
@@ -321,7 +318,7 @@ fn assert_single_shard_crash_recovery(scenario: &dyn Scenario, root: &std::path:
         "{}: results diverged after crashing shard {victim_shard} of {SHARDS}",
         scenario.name()
     );
-    let snapshot = cluster.counters_snapshot().expect("counters installed");
+    let snapshot = cluster.counters_snapshot();
     assert!(
         snapshot.quiescent_identity_holds(),
         "{}: post-recovery cluster identity violated: {snapshot:?}",

@@ -19,8 +19,8 @@ use crate::error::ServiceError;
 use crate::request::Response;
 use std::collections::VecDeque;
 
-/// Default bound on each tenant's dedup window, in responses. Deep enough
-/// to cover every plausible in-flight pipeline; small enough that a
+/// Each tenant's dedup window, in responses; the bound is fixed. Deep
+/// enough to cover every plausible in-flight pipeline; small enough that a
 /// thousand tenants cost trivial memory.
 pub const DEFAULT_DEDUP_WINDOW: usize = 256;
 
@@ -64,8 +64,8 @@ pub(crate) enum Lookup {
 pub(crate) struct DedupWindow {
     /// Highest request id successfully applied for this tenant.
     last_applied: u64,
-    /// Cached `(id, response)` pairs, oldest first, bounded by the
-    /// service's configured window.
+    /// Cached `(id, response)` pairs, oldest first; the service keeps at
+    /// most [`DEFAULT_DEDUP_WINDOW`] of them.
     entries: VecDeque<(u64, Response)>,
 }
 
@@ -84,7 +84,9 @@ impl DedupWindow {
     }
 
     /// Record a successfully applied response, evicting the oldest entry
-    /// beyond `capacity`.
+    /// beyond `capacity`. The service always passes
+    /// [`DEFAULT_DEDUP_WINDOW`]; the argument is kept so the unit tests can
+    /// exercise eviction with a small window.
     pub(crate) fn record(&mut self, request_id: u64, response: Response, capacity: usize) {
         self.last_applied = self.last_applied.max(request_id);
         self.entries.push_back((request_id, response));

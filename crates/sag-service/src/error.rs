@@ -42,7 +42,6 @@ pub enum ServiceError {
     /// therefore was not applied — log-before-acknowledge means a WAL
     /// failure rejects the request instead of silently dropping
     /// durability. Carries the structured [`sag_wal::WalError`].
-    #[cfg(feature = "wal")]
     Wal(sag_wal::WalError),
 }
 
@@ -63,7 +62,6 @@ impl fmt::Display for ServiceError {
                 "tenant {tenant} overloaded: {pending} requests pending (limit {limit}); retry later"
             ),
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
-            #[cfg(feature = "wal")]
             ServiceError::Wal(e) => write!(f, "durability error: {e}"),
         }
     }
@@ -73,14 +71,12 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Engine(e) => Some(e),
-            #[cfg(feature = "wal")]
             ServiceError::Wal(e) => Some(e),
             _ => None,
         }
     }
 }
 
-#[cfg(feature = "wal")]
 impl From<sag_wal::WalError> for ServiceError {
     fn from(e: sag_wal::WalError) -> Self {
         ServiceError::Wal(e)

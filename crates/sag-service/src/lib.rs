@@ -32,14 +32,19 @@
 //!   tenant's engine and each day's session are independent and start cold,
 //!   so the results are **bitwise identical** to replaying every tenant
 //!   serially — concurrency only buys wall-clock time.
-//! * Durability (the `wal` feature, on by default) —
-//!   [`ServiceBuilder::durable`] logs every mutation to a per-tenant,
-//!   CRC-framed write-ahead log *before* acknowledging it, snapshots
-//!   periodically, and [`ServiceBuilder::recover_from`] rebuilds the exact
-//!   pre-crash state (open mid-day sessions included, bitwise identical)
-//!   from the snapshot plus the WAL tail, discarding torn final records. The
-//!   storage seam is [`WalFs`] ([`DirFs`] on disk, [`MemFs`] in memory,
-//!   [`FailpointFs`] for deterministic crash injection in tests).
+//! * Durability, chosen at build time — [`ServiceBuilder::durable`] logs
+//!   every mutation to a per-tenant, CRC-framed write-ahead log *before*
+//!   acknowledging it, snapshots periodically, and
+//!   [`ServiceBuilder::recover_from`] rebuilds the exact pre-crash state
+//!   (open mid-day sessions included, bitwise identical) from the snapshot
+//!   plus the WAL tail, discarding torn final records. The storage seam is
+//!   [`WalFs`] ([`DirFs`] on disk, [`MemFs`] in memory, [`FailpointFs`] for
+//!   deterministic crash injection in tests).
+//! * [`ServiceCounters`] — every service counts what it serves, lock-free:
+//!   requests, opens, decisions, closes, errors, dedup replays and the
+//!   auditor-utility sums. [`AuditService::counters`] shares the sink; the
+//!   `sag-net` metrics page renders it. A recovered service starts from
+//!   zero, since WAL replay serves no request.
 //!
 //! ## A complete tour
 //!
@@ -107,7 +112,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dedup;
-#[cfg(feature = "wal")]
 pub mod durability;
 pub mod error;
 pub mod metrics;
@@ -116,7 +120,6 @@ pub mod service;
 pub mod session;
 
 pub use dedup::{Handled, DEFAULT_DEDUP_WINDOW};
-#[cfg(feature = "wal")]
 pub use durability::DurabilityOptions;
 pub use error::ServiceError;
 pub use metrics::{CountersSnapshot, ServiceCounters};
@@ -125,7 +128,6 @@ pub use service::{AuditService, ServiceBuilder, ServiceJob, TenantId};
 pub use session::{SessionHandle, SessionId};
 
 // Re-exported so durable deployments need only this crate in scope.
-#[cfg(feature = "wal")]
 pub use sag_wal::{DirFs, FailpointFs, MemFs, WalError, WalFs, WalRecord};
 
 /// Result alias for fallible service operations.

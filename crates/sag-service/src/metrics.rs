@@ -1,17 +1,19 @@
 //! Lock-free live counters exported from the service hot path.
 //!
-//! A [`ServiceCounters`] is a block of [`AtomicU64`]s shared (through an
-//! `Arc`) between an [`crate::AuditService`] and whatever observability
+//! Every [`crate::AuditService`] owns a [`ServiceCounters`], a block of
+//! [`AtomicU64`]s it shares (through an `Arc`) with whatever observability
 //! surface wants to watch it — the `sag-net` server renders a snapshot on
-//! its plaintext metrics endpoint. Every counter is updated with relaxed
-//! atomics on the [`crate::AuditService::handle`] path: no locks, no
-//! allocation, one `fetch_add` per field touched, so instrumentation cost
-//! is noise next to a single SSE solve.
+//! its plaintext metrics endpoint. Every counter is updated on the
+//! `handle`/`handle_tagged` path, which holds the service's `&mut self`, so
+//! each block has exactly one writer at a time: an update is a relaxed load
+//! and store of the field it touches, with no lock, no locked
+//! read-modify-write and no allocation, while readers on other threads see
+//! whole values. WAL replay serves no request and counts nothing.
 //!
 //! Utilities are accumulated as `f64` sums stored in their IEEE-754 bit
-//! patterns, updated with a compare-exchange loop — the standard lock-free
-//! "atomic f64 add". Sums are exact in the same sense a single-threaded
-//! `+=` loop is; snapshot readers divide by the alert count for means.
+//! patterns, updated the same way. Sums are exact in the same sense a
+//! single-threaded `+=` loop is; snapshot readers divide by the alert count
+//! for means.
 //!
 //! Counters are monotonically non-decreasing and a
 //! [`snapshot`](ServiceCounters::snapshot) is *not* a consistent cut while requests
@@ -19,15 +21,18 @@
 //! quiescent, the identity
 //! `requests == days_opened + alerts + days_closed + errors` holds
 //! exactly, and the solver-work counters equal the sums of the served
-//! [`AlertOutcome`]s' `sse_stats` (the CI network-smoke job and the
+//! [`sag_core::AlertOutcome`]s' `sse_stats` (the CI network-smoke job and the
 //! metrics-consistency test both assert this).
 
-use sag_core::AlertOutcome;
+use crate::error::ServiceError;
+use crate::request::Response;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Lock-free counters of everything an [`crate::AuditService`] served
-/// through [`handle`](crate::AuditService::handle).
+/// through [`handle`](crate::AuditService::handle) and
+/// [`handle_tagged`](crate::AuditService::handle_tagged). Only the service
+/// that created them writes them; everyone else reads snapshots.
 #[derive(Debug, Default)]
 pub struct ServiceCounters {
     /// Requests received (including ones answered with an error).
@@ -61,10 +66,24 @@ pub struct ServiceCounters {
     online_utility_bits: AtomicU64,
 }
 
+/// Add `n` to a counter that only its owning service writes (see the
+/// module docs).
+fn bump(cell: &AtomicU64, n: u64) {
+    let sum = cell.load(Ordering::Relaxed).wrapping_add(n);
+    cell.store(sum, Ordering::Relaxed);
+}
+
+/// [`bump`] for an `f64` sum stored as its bit pattern.
+fn bump_f64(cell: &AtomicU64, v: f64) {
+    let sum = f64::from_bits(cell.load(Ordering::Relaxed)) + v;
+    cell.store(sum.to_bits(), Ordering::Relaxed);
+}
+
 /// Add `v` to an `f64` accumulator stored as its bit pattern in an
-/// [`AtomicU64`] — the standard lock-free compare-exchange loop. Public so
-/// other observability surfaces (the `sag-net` per-tenant gauges) can share
-/// the idiom instead of re-deriving it.
+/// [`AtomicU64`] that several threads may write at once — the standard
+/// lock-free compare-exchange loop. Public so other observability surfaces
+/// (the `sag-net` per-tenant gauges) can share the idiom instead of
+/// re-deriving it.
 pub fn add_f64(cell: &AtomicU64, v: f64) {
     let mut current = cell.load(Ordering::Relaxed);
     loop {
@@ -83,57 +102,41 @@ impl ServiceCounters {
         ServiceCounters::default()
     }
 
-    /// One request arrived (called before the outcome is known).
-    pub(crate) fn record_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A day was opened.
-    pub(crate) fn record_open(&self) {
-        self.days_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A day was closed.
-    pub(crate) fn record_close(&self) {
-        self.days_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request failed with a service error.
-    pub(crate) fn record_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+    /// One request was answered: count it under its outcome, folding a
+    /// decision's solver work and utilities into the totals.
+    pub(crate) fn record(&self, result: &Result<Response, ServiceError>) {
+        bump(&self.requests, 1);
+        match result {
+            Ok(Response::DayOpened { .. }) => bump(&self.days_opened, 1),
+            Ok(Response::DayClosed { .. }) => bump(&self.days_closed, 1),
+            Err(_) => bump(&self.errors, 1),
+            Ok(Response::Decision { outcome, .. }) => {
+                bump(&self.alerts, 1);
+                let stats = &outcome.sse_stats;
+                bump(&self.lp_solves, u64::from(stats.lp_solves));
+                bump(&self.pivots, u64::from(stats.pivots));
+                bump(&self.fast_path_solves, u64::from(stats.fast_path));
+                bump_f64(&self.ossp_utility_bits, outcome.ossp_utility);
+                bump_f64(&self.online_utility_bits, outcome.online_sse_utility);
+            }
+        }
     }
 
     /// A duplicate delivery was answered by replaying the cached response.
     pub(crate) fn record_dup_replayed(&self) {
-        self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-        self.dup_replayed.fetch_add(1, Ordering::Relaxed);
+        bump(&self.dup_suppressed, 1);
+        bump(&self.dup_replayed, 1);
     }
 
     /// A duplicate delivery was suppressed but its cached response had
     /// already been evicted from the window (answered `Stale`).
     pub(crate) fn record_dup_stale(&self) {
-        self.dup_suppressed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A warning decision was committed; fold its solver work and utilities
-    /// into the totals.
-    pub(crate) fn record_outcome(&self, outcome: &AlertOutcome) {
-        self.alerts.fetch_add(1, Ordering::Relaxed);
-        let stats = &outcome.sse_stats;
-        self.lp_solves
-            .fetch_add(u64::from(stats.lp_solves), Ordering::Relaxed);
-        self.pivots
-            .fetch_add(u64::from(stats.pivots), Ordering::Relaxed);
-        self.fast_path_solves
-            .fetch_add(u64::from(stats.fast_path), Ordering::Relaxed);
-        add_f64(&self.ossp_utility_bits, outcome.ossp_utility);
-        add_f64(&self.online_utility_bits, outcome.online_sse_utility);
+        bump(&self.dup_suppressed, 1);
     }
 
     /// A session took `elapsed` to decide one alert.
     pub(crate) fn record_solve(&self, elapsed: Duration) {
-        self.solve_nanos
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        bump(&self.solve_nanos, elapsed.as_nanos() as u64);
     }
 
     /// A relaxed-atomic read of every counter. See the module docs for what
@@ -221,10 +224,10 @@ impl CountersSnapshot {
     /// Sum any number of snapshots (an empty iterator yields the zero
     /// snapshot).
     #[must_use]
-    pub fn sum<'a>(snapshots: impl IntoIterator<Item = &'a CountersSnapshot>) -> CountersSnapshot {
+    pub fn sum(snapshots: impl IntoIterator<Item = CountersSnapshot>) -> CountersSnapshot {
         snapshots
             .into_iter()
-            .fold(CountersSnapshot::default(), |sum, s| sum.merged(s))
+            .fold(CountersSnapshot::default(), |sum, s| sum.merged(&s))
     }
 
     /// The quiescent accounting identity: once no request is in flight,
@@ -301,7 +304,7 @@ mod tests {
         assert_eq!(merged.errors, 1);
         assert_eq!(merged.ossp_utility_sum, -3.75);
         assert!(merged.quiescent_identity_holds());
-        assert_eq!(CountersSnapshot::sum([&a, &b]), merged);
+        assert_eq!(CountersSnapshot::sum([a, b]), merged);
         assert_eq!(CountersSnapshot::sum([]), CountersSnapshot::default());
         // A violated identity on either side is visible in the sum.
         let broken = CountersSnapshot {

@@ -1,6 +1,7 @@
 //! The [`AuditService`] front door and its [`ServiceBuilder`].
 
 use crate::dedup::{DedupWindow, Handled, Lookup, DEFAULT_DEDUP_WINDOW};
+use crate::durability::{Durability, DurabilityOptions, WalTarget};
 use crate::error::ServiceError;
 use crate::metrics::ServiceCounters;
 use crate::request::{Request, Response};
@@ -9,18 +10,13 @@ use sag_core::engine::EngineBuilder;
 use sag_core::{AuditCycleEngine, CycleResult};
 use sag_pool::WorkerPool;
 use sag_sim::DayLog;
+use sag_wal::{read_wal, DirFs, WalError, WalFs, WalRecord};
 use std::collections::HashMap;
 use std::fmt;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-#[cfg(feature = "wal")]
-use crate::durability::{Durability, DurabilityOptions, WalTarget};
-#[cfg(feature = "wal")]
-use sag_wal::{read_wal, DirFs, WalError, WalFs, WalRecord};
-#[cfg(feature = "wal")]
-use std::path::Path;
 
 /// Identifier of a registered tenant (a hospital, site, or business unit
 /// with its own game, budget and alert history). Cheap to clone and hash.
@@ -114,19 +110,18 @@ pub struct AuditService {
     pool: OnceLock<Option<WorkerPool>>,
     history_window: usize,
     /// Live counters updated lock-free on every [`handle`](Self::handle)
-    /// call, when the builder installed a sink (see
-    /// [`ServiceBuilder::counters`]).
-    counters: Option<Arc<ServiceCounters>>,
+    /// and [`handle_tagged`](Self::handle_tagged) call. Each service has
+    /// its own, fresh from [`ServiceBuilder::build`] or
+    /// [`ServiceBuilder::recover`].
+    counters: Arc<ServiceCounters>,
     /// Per-tenant duplicate-suppression state for the tagged command API
-    /// ([`handle_tagged`](Self::handle_tagged)).
+    /// ([`handle_tagged`](Self::handle_tagged)), each window bounded by
+    /// [`DEFAULT_DEDUP_WINDOW`] responses.
     dedup: HashMap<TenantId, DedupWindow>,
-    /// Bound on each tenant's dedup window, in cached responses.
-    dedup_window: usize,
     /// The write-ahead log, when the service was built durable. Every
     /// [`handle`](Self::handle) mutation and
     /// [`record_history`](Self::record_history) call is logged here
     /// *before* it is applied and acknowledged.
-    #[cfg(feature = "wal")]
     durability: Option<Durability>,
 }
 
@@ -222,12 +217,10 @@ impl AuditService {
         if !self.tenants.contains_key(tenant) {
             return Err(ServiceError::UnknownTenant(tenant.clone()));
         }
-        #[cfg(feature = "wal")]
         if let Some(durability) = self.durability.as_mut() {
             durability.append(tenant, &WalRecord::HistoryDay(day.clone()))?;
         }
         self.record_history_unlogged(tenant, day);
-        #[cfg(feature = "wal")]
         self.maybe_snapshot(tenant)?;
         Ok(())
     }
@@ -251,7 +244,6 @@ impl AuditService {
     /// Advance the tenant's snapshot clock and, when due and the tenant
     /// has no open sessions (their records live in the WAL tail), write
     /// the snapshot and truncate the WAL.
-    #[cfg(feature = "wal")]
     fn maybe_snapshot(&mut self, tenant: &TenantId) -> Result<(), ServiceError> {
         let has_open = self.open.values().any(|handle| handle.tenant() == tenant);
         let Some(durability) = self.durability.as_mut() else {
@@ -277,25 +269,17 @@ impl AuditService {
     }
 
     /// Whether this service logs its mutations to a write-ahead log.
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
     }
 
-    /// The live counter sink installed at build time, if any. Shared: the
-    /// same `Arc` the builder was given, so observability surfaces can hold
-    /// their own handle and read snapshots without borrowing the service.
+    /// The service's live counters. Shared, so observability surfaces can
+    /// hold their own handle and read snapshots without borrowing the
+    /// service.
     #[must_use]
-    pub fn counters(&self) -> Option<&Arc<ServiceCounters>> {
-        self.counters.as_ref()
-    }
-
-    /// Install (or replace) the live counter sink after construction — the
-    /// post-build twin of [`ServiceBuilder::counters`], for callers handed
-    /// an already-built service (the `sag-net` server front door).
-    pub fn set_counters(&mut self, counters: Arc<ServiceCounters>) {
-        self.counters = Some(counters);
+    pub fn counters(&self) -> &Arc<ServiceCounters> {
+        &self.counters
     }
 
     fn next_session_id(&self) -> SessionId {
@@ -395,15 +379,11 @@ impl AuditService {
             match window.lookup(request_id) {
                 Lookup::New => {}
                 Lookup::Replayed(response) => {
-                    if let Some(counters) = &self.counters {
-                        counters.record_dup_replayed();
-                    }
+                    self.counters.record_dup_replayed();
                     return Handled::Replayed(response);
                 }
                 Lookup::Stale { last_applied } => {
-                    if let Some(counters) = &self.counters {
-                        counters.record_dup_stale();
-                    }
+                    self.counters.record_dup_stale();
                     return Handled::Stale {
                         request_id,
                         last_applied,
@@ -421,32 +401,31 @@ impl AuditService {
         if let Some(session) = named_session {
             if let Some(handle) = self.open.get(&session) {
                 if handle.tenant() != tenant {
-                    return Handled::Applied(
-                        self.count_rejection(ServiceError::UnknownSession(session)),
-                    );
+                    let rejected = Err(ServiceError::UnknownSession(session));
+                    self.counters.record(&rejected);
+                    return Handled::Applied(rejected);
                 }
             }
         }
         let result = self.handle_counted(request, request_id);
         if let Ok(response) = &result {
-            let capacity = self.dedup_window;
-            self.dedup.entry(tenant.clone()).or_default().record(
-                request_id,
-                response.clone(),
-                capacity,
-            );
+            self.remember(tenant, request_id, response.clone());
         }
         Handled::Applied(result)
     }
 
-    /// Reject a request before it reaches [`handle_uncounted`], keeping the
-    /// counter identity (`requests == … + errors`) intact.
-    fn count_rejection(&self, error: ServiceError) -> Result<Response, ServiceError> {
-        if let Some(counters) = &self.counters {
-            counters.record_request();
-            counters.record_error();
+    /// Cache an applied response in the tenant's dedup window, so a
+    /// redelivery of `request_id` replays it. Untagged requests (id 0)
+    /// carry no contract.
+    fn remember(&mut self, tenant: &TenantId, request_id: u64, response: Response) {
+        if request_id == 0 {
+            return;
         }
-        Err(error)
+        self.dedup.entry(tenant.clone()).or_default().record(
+            request_id,
+            response,
+            DEFAULT_DEDUP_WINDOW,
+        );
     }
 
     /// [`handle`](Self::handle) with the counters updated and the request
@@ -456,29 +435,18 @@ impl AuditService {
         request: Request,
         request_id: u64,
     ) -> Result<Response, ServiceError> {
-        let counters = self.counters.clone();
-        if let Some(counters) = &counters {
-            counters.record_request();
-        }
         let result = self.handle_uncounted(request, request_id);
-        if let Some(counters) = &counters {
-            match &result {
-                Ok(Response::DayOpened { .. }) => counters.record_open(),
-                Ok(Response::Decision { outcome, .. }) => counters.record_outcome(outcome),
-                Ok(Response::DayClosed { .. }) => counters.record_close(),
-                Err(_) => counters.record_error(),
-            }
-        }
+        self.counters.record(&result);
         result
     }
 
     /// [`handle`](Self::handle) without the per-request accounting of
     /// [`handle_counted`](Self::handle_counted); only the `PushAlert` arm
-    /// adds its session's solve time to the installed counters.
+    /// adds its session's solve time to the counters.
     fn handle_uncounted(
         &mut self,
         request: Request,
-        _request_id: u64,
+        request_id: u64,
     ) -> Result<Response, ServiceError> {
         match request {
             Request::OpenDay {
@@ -491,7 +459,6 @@ impl AuditService {
                     handle.set_day(day);
                 }
                 let session = handle.id();
-                #[cfg(feature = "wal")]
                 if let Some(durability) = self.durability.as_mut() {
                     durability.append(
                         &tenant,
@@ -499,7 +466,7 @@ impl AuditService {
                             session: session.0,
                             day,
                             budget,
-                            request_id: _request_id,
+                            request_id,
                         },
                     )?;
                 }
@@ -511,44 +478,36 @@ impl AuditService {
                     .open
                     .get_mut(&session)
                     .ok_or(ServiceError::UnknownSession(session))?;
-                #[cfg(feature = "wal")]
                 if let Some(durability) = self.durability.as_mut() {
                     durability.append(
                         handle.tenant(),
                         &WalRecord::PushAlert {
                             session: session.0,
                             alert,
-                            request_id: _request_id,
+                            request_id,
                         },
                     )?;
                 }
                 // The solve is timed here, after the WAL append, so the
                 // outcome itself stays a pure value.
-                let timer = self.counters.as_deref().map(|c| (c, Instant::now()));
+                let started = Instant::now();
                 let outcome = handle.push_alert(&alert)?;
-                if let Some((counters, started)) = timer {
-                    counters.record_solve(started.elapsed());
-                }
+                self.counters.record_solve(started.elapsed());
                 Ok(Response::Decision { session, outcome })
             }
             Request::FinishDay { session } => {
-                #[cfg(feature = "wal")]
-                if self.durability.is_some() {
-                    let tenant = self
+                if let Some(durability) = self.durability.as_mut() {
+                    let handle = self
                         .open
                         .get(&session)
-                        .ok_or(ServiceError::UnknownSession(session))?
-                        .tenant()
-                        .clone();
-                    if let Some(durability) = self.durability.as_mut() {
-                        durability.append(
-                            &tenant,
-                            &WalRecord::FinishDay {
-                                session: session.0,
-                                request_id: _request_id,
-                            },
-                        )?;
-                    }
+                        .ok_or(ServiceError::UnknownSession(session))?;
+                    durability.append(
+                        handle.tenant(),
+                        &WalRecord::FinishDay {
+                            session: session.0,
+                            request_id,
+                        },
+                    )?;
                 }
                 let handle = self
                     .open
@@ -616,28 +575,17 @@ impl AuditService {
             .collect()
     }
 
-    /// Stash a response rebuilt during WAL replay in the tenant's dedup
-    /// window, so redeliveries that raced the crash still replay instead
-    /// of re-applying. Untagged records (id 0) carry no contract.
-    #[cfg(feature = "wal")]
-    fn record_replayed_dedup(&mut self, tenant: &TenantId, request_id: u64, response: Response) {
-        if request_id == 0 {
-            return;
-        }
-        let capacity = self.dedup_window;
-        self.dedup
-            .entry(tenant.clone())
-            .or_default()
-            .record(request_id, response, capacity);
-    }
-
     /// Rebuild in-memory state from `durability`'s storage: per tenant,
     /// load the snapshot (if any), then replay the WAL tail record by
     /// record. Because snapshots are deferred until a tenant has no open
     /// sessions, every open session's `OpenDay` is in the WAL it is
     /// replayed from, with the history records that preceded it — so the
     /// engine's deterministic-replay guarantee rebuilds it bitwise.
-    #[cfg(feature = "wal")]
+    ///
+    /// Replay applies records directly rather than through
+    /// [`handle`](Self::handle), so it leaves the counters at zero, and
+    /// every response it rebuilds enters the dedup window, so redeliveries
+    /// that raced the crash still replay instead of re-applying.
     fn replay_wal(&mut self, durability: &mut Durability) -> Result<(), ServiceError> {
         use std::collections::HashSet;
 
@@ -753,7 +701,7 @@ impl AuditService {
                             handle.set_day(day);
                         }
                         self.open.insert(SessionId(session), handle);
-                        self.record_replayed_dedup(
+                        self.remember(
                             tenant,
                             request_id,
                             Response::DayOpened {
@@ -778,7 +726,7 @@ impl AuditService {
                         // bytes the pre-crash decision carried, so the
                         // rebuilt dedup entry replays bitwise too.
                         let outcome = handle.push_alert(&alert)?;
-                        self.record_replayed_dedup(
+                        self.remember(
                             tenant,
                             request_id,
                             Response::Decision {
@@ -802,7 +750,7 @@ impl AuditService {
                         // caller — or the ack was lost and a redelivery is
                         // coming, so cache it under its id either way.
                         let result = handle.finish();
-                        self.record_replayed_dedup(
+                        self.remember(
                             tenant,
                             request_id,
                             Response::DayClosed {
@@ -843,14 +791,11 @@ fn replay_job(tenant: &Tenant, job: &ServiceJob<'_>) -> Result<CycleResult, Serv
 /// and [`build`](Self::build). Every tenant's configuration is validated at
 /// build time; the first invalid one fails the build with its structured
 /// cause.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServiceBuilder {
     tenants: Vec<(TenantId, EngineBuilder, Vec<DayLog>)>,
     workers: Option<usize>,
     history_window: usize,
-    dedup_window: usize,
-    counters: Option<Arc<ServiceCounters>>,
-    #[cfg(feature = "wal")]
     durability: Option<(WalTarget, DurabilityOptions)>,
 }
 
@@ -858,6 +803,14 @@ pub struct ServiceBuilder {
 /// enough for every fit the paper considers (41 days), small enough that a
 /// years-running service does not accumulate unbounded logs.
 pub const DEFAULT_HISTORY_WINDOW: usize = 64;
+
+/// The same builder as [`ServiceBuilder::new`]: a derived `Default` would
+/// set a zero-day history window and drop every tenant's history.
+impl Default for ServiceBuilder {
+    fn default() -> Self {
+        ServiceBuilder::new()
+    }
+}
 
 impl ServiceBuilder {
     /// An empty builder: no tenants, automatic worker count, default
@@ -868,22 +821,8 @@ impl ServiceBuilder {
             tenants: Vec::new(),
             workers: None,
             history_window: DEFAULT_HISTORY_WINDOW,
-            dedup_window: DEFAULT_DEDUP_WINDOW,
-            counters: None,
-            #[cfg(feature = "wal")]
             durability: None,
         }
-    }
-
-    /// Install a live counter sink: every [`AuditService::handle`] call
-    /// updates it lock-free (see [`ServiceCounters`]). Pass a clone of an
-    /// `Arc` you keep, and read [`ServiceCounters::snapshot`] from any
-    /// thread — this is how the `sag-net` metrics endpoint watches the hot
-    /// path.
-    #[must_use]
-    pub fn counters(mut self, counters: Arc<ServiceCounters>) -> Self {
-        self.counters = Some(counters);
-        self
     }
 
     /// Worker threads for [`AuditService::replay_concurrent`]. `0` disables
@@ -899,17 +838,6 @@ impl ServiceBuilder {
     #[must_use]
     pub fn history_window(mut self, days: usize) -> Self {
         self.history_window = days.max(1);
-        self
-    }
-
-    /// Bound on each tenant's duplicate-suppression window, in cached
-    /// responses (at least 1) — how far back a redelivered request id can
-    /// still be answered with its original response by
-    /// [`AuditService::handle_tagged`]. Default
-    /// [`DEFAULT_DEDUP_WINDOW`] responses.
-    #[must_use]
-    pub fn dedup_window(mut self, responses: usize) -> Self {
-        self.dedup_window = responses.max(1);
         self
     }
 
@@ -937,14 +865,12 @@ impl ServiceBuilder {
     /// at build time; building *fresh* over a directory that already holds
     /// records fails with [`sag_wal::WalError::ExistingState`] — use
     /// [`recover_from`](Self::recover_from) for that.
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn durable(self, dir: impl AsRef<Path>) -> Self {
         self.durable_with(dir, DurabilityOptions::default())
     }
 
     /// [`durable`](Self::durable) with explicit [`DurabilityOptions`].
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn durable_with(mut self, dir: impl AsRef<Path>, options: DurabilityOptions) -> Self {
         self.durability = Some((WalTarget::Dir(dir.as_ref().to_path_buf()), options));
@@ -954,7 +880,6 @@ impl ServiceBuilder {
     /// Log to caller-supplied storage instead of a directory — an
     /// [`sag_wal::MemFs`] for fast tests, or an [`sag_wal::FailpointFs`]
     /// to inject a scripted crash.
-    #[cfg(feature = "wal")]
     #[must_use]
     pub fn durable_on(mut self, fs: Box<dyn WalFs>, options: DurabilityOptions) -> Self {
         self.durability = Some((WalTarget::Fs(fs), options));
@@ -988,7 +913,6 @@ impl ServiceBuilder {
     /// [`ServiceError::Wal`] for logs that cannot be trusted (corruption
     /// before the tail, version mismatch, state for unregistered tenants)
     /// and [`ServiceError::Engine`] if a logged alert no longer replays.
-    #[cfg(feature = "wal")]
     pub fn recover(self) -> Result<AuditService, ServiceError> {
         if self.durability.is_none() {
             return Err(ServiceError::Wal(WalError::Io {
@@ -1013,7 +937,6 @@ impl ServiceBuilder {
     /// # Errors
     ///
     /// See [`recover`](Self::recover).
-    #[cfg(feature = "wal")]
     pub fn recover_from(self, dir: impl AsRef<Path>) -> Result<AuditService, ServiceError> {
         self.durable(dir).recover()
     }
@@ -1024,7 +947,6 @@ impl ServiceBuilder {
     /// # Errors
     ///
     /// See [`recover`](Self::recover).
-    #[cfg(feature = "wal")]
     pub fn recover_on(
         self,
         fs: Box<dyn WalFs>,
@@ -1033,9 +955,7 @@ impl ServiceBuilder {
         self.durable_on(fs, options).recover()
     }
 
-    fn build_inner(self, _fresh: bool) -> Result<AuditService, ServiceError> {
-        #[cfg(feature = "wal")]
-        let durability_target = self.durability;
+    fn build_inner(self, fresh: bool) -> Result<AuditService, ServiceError> {
         let mut tenants = HashMap::with_capacity(self.tenants.len());
         for (id, engine, mut history) in self.tenants {
             if tenants.contains_key(&id) {
@@ -1051,8 +971,7 @@ impl ServiceBuilder {
         let workers = self
             .workers
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from));
-        #[cfg(feature = "wal")]
-        let durability = match durability_target {
+        let durability = match self.durability {
             None => None,
             Some((target, options)) => {
                 let fs: Box<dyn WalFs> = match target {
@@ -1060,7 +979,7 @@ impl ServiceBuilder {
                     WalTarget::Fs(fs) => fs,
                 };
                 let mut durability = Durability::new(fs, options, tenants.keys());
-                durability.ensure_headers(_fresh)?;
+                durability.ensure_headers(fresh)?;
                 Some(durability)
             }
         };
@@ -1071,10 +990,8 @@ impl ServiceBuilder {
             workers,
             pool: OnceLock::new(),
             history_window: self.history_window,
+            counters: Arc::new(ServiceCounters::new()),
             dedup: HashMap::new(),
-            dedup_window: self.dedup_window.max(1),
-            counters: self.counters,
-            #[cfg(feature = "wal")]
             durability,
         })
     }

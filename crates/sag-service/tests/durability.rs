@@ -3,8 +3,6 @@
 //! with the deterministic fault-injection harness (`FailpointFs`) so every
 //! crash point is reproducible.
 
-#![cfg(feature = "wal")]
-
 use sag_core::engine::EngineBuilder;
 use sag_core::CycleResult;
 use sag_service::{

@@ -3,7 +3,10 @@
 //! against the engine's own `run_day`.
 
 use sag_core::{AuditCycleEngine, ConfigError, CycleResult, EngineBuilder, SagError};
-use sag_service::{AuditService, Request, Response, ServiceError, ServiceJob, TenantId};
+use sag_service::{
+    AuditService, CountersSnapshot, DurabilityOptions, Handled, MemFs, Request, Response,
+    ServiceBuilder, ServiceError, ServiceJob, SessionId, TenantId,
+};
 use sag_sim::{DayLog, StreamConfig, StreamGenerator};
 use std::collections::HashMap;
 
@@ -288,4 +291,142 @@ fn recorded_history_rolls_forward_and_stays_windowed() {
     let handle = service.open_day(&clinic, None).unwrap();
     assert_eq!(handle.tenant(), &clinic);
     assert_eq!(handle.alerts_processed(), 0);
+
+    // `Default` is `new`: the default window, not a zero-day one.
+    let service = ServiceBuilder::default()
+        .tenant_with_history(
+            "clinic",
+            EngineBuilder::paper_single_type(),
+            history.clone(),
+        )
+        .build()
+        .unwrap();
+    assert_eq!(service.history(&clinic).unwrap(), history.as_slice());
+}
+
+fn open(tenant: &TenantId, day: &DayLog) -> Request {
+    Request::OpenDay {
+        tenant: tenant.clone(),
+        budget: None,
+        day: Some(day.day()),
+    }
+}
+
+fn push(session: SessionId, day: &DayLog, index: usize) -> Request {
+    Request::PushAlert {
+        session,
+        alert: day.alerts()[index],
+    }
+}
+
+/// The response of a tagged request that must apply.
+fn applied(service: &mut AuditService, tenant: &TenantId, id: u64, request: Request) -> Response {
+    match service.handle_tagged(tenant, id, request) {
+        Handled::Applied(Ok(response)) => response,
+        other => panic!("request {id} should apply: {other:?}"),
+    }
+}
+
+fn opened(response: Response) -> SessionId {
+    match response {
+        Response::DayOpened { session, .. } => session,
+        other => panic!("expected DayOpened, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_service_counts_its_own_handle_and_handle_tagged_traffic() {
+    let (history, day) = single_type_logs(9);
+    let clinic = TenantId::from("clinic");
+    let mut service = AuditService::builder()
+        .workers(0)
+        .tenant_with_history("clinic", EngineBuilder::paper_single_type(), history)
+        .build()
+        .unwrap();
+    assert_eq!(service.counters().snapshot(), CountersSnapshot::default());
+
+    // One untagged day through `handle`, plus one rejected command.
+    let session = opened(service.handle(open(&clinic, &day)).unwrap());
+    for index in 0..day.len() {
+        service.handle(push(session, &day, index)).unwrap();
+    }
+    service.handle(Request::FinishDay { session }).unwrap();
+    let ghost = SessionId::from_raw(999);
+    assert!(service
+        .handle(Request::FinishDay { session: ghost })
+        .is_err());
+    let untagged = service.counters().snapshot();
+    assert_eq!(untagged.requests, day.len() as u64 + 3);
+    assert_eq!(untagged.errors, 1);
+    assert!(untagged.quiescent_identity_holds(), "{untagged:?}");
+
+    // A tagged day through `handle_tagged` with its push redelivered: the
+    // redelivery replays, a suppressed duplicate and not a request.
+    let session = opened(applied(&mut service, &clinic, 1, open(&clinic, &day)));
+    let first = applied(&mut service, &clinic, 2, push(session, &day, 0));
+    match service.handle_tagged(&clinic, 2, push(session, &day, 0)) {
+        Handled::Replayed(response) => assert_eq!(response, first),
+        other => panic!("redelivery should replay: {other:?}"),
+    }
+    applied(&mut service, &clinic, 3, Request::FinishDay { session });
+    let tagged = service.counters().snapshot();
+    assert_eq!(tagged.requests, untagged.requests + 3);
+    assert_eq!(tagged.alerts, untagged.alerts + 1);
+    assert_eq!((tagged.days_opened, tagged.days_closed), (2, 2));
+    assert_eq!((tagged.dup_replayed, tagged.dup_suppressed), (1, 1));
+    assert!(tagged.quiescent_identity_holds(), "{tagged:?}");
+}
+
+#[test]
+fn a_recovered_service_starts_with_every_counter_at_zero() {
+    let (history, day) = multi_type_logs(21);
+    let icu = TenantId::from("icu");
+    let builder = || {
+        AuditService::builder().workers(0).tenant_with_history(
+            "icu",
+            EngineBuilder::paper_multi_type(),
+            history.clone(),
+        )
+    };
+    let store = MemFs::new();
+
+    // Serve half a tagged day durably (push `i` under id `i + 2`), then
+    // "crash" by dropping the service.
+    let half = day.len() / 2;
+    let session = {
+        let mut service = builder()
+            .durable_on(Box::new(store.clone()), DurabilityOptions::no_fsync())
+            .build()
+            .unwrap();
+        let session = opened(applied(&mut service, &icu, 1, open(&icu, &day)));
+        for index in 0..half {
+            applied(
+                &mut service,
+                &icu,
+                index as u64 + 2,
+                push(session, &day, index),
+            );
+        }
+        assert_eq!(service.counters().snapshot().requests, half as u64 + 1);
+        session
+    };
+
+    // Replay rebuilt the session and the dedup window but served no
+    // request: counting it would break `requests == frames in` after every
+    // restart. From here on the service counts as usual.
+    let mut service = builder()
+        .recover_on(Box::new(store), DurabilityOptions::no_fsync())
+        .unwrap();
+    assert_eq!(service.open_sessions(), 1);
+    assert_eq!(service.counters().snapshot(), CountersSnapshot::default());
+    let last = half as u64 + 1;
+    assert!(matches!(
+        service.handle_tagged(&icu, last, push(session, &day, half - 1)),
+        Handled::Replayed(Response::Decision { .. })
+    ));
+    applied(&mut service, &icu, last + 1, push(session, &day, half));
+    let snapshot = service.counters().snapshot();
+    assert_eq!((snapshot.requests, snapshot.alerts), (1, 1));
+    assert_eq!(snapshot.dup_replayed, 1);
+    assert!(snapshot.quiescent_identity_holds(), "{snapshot:?}");
 }
