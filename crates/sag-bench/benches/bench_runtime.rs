@@ -7,11 +7,17 @@
 //! (`SolverBackendKind::Auto`) and the paper's multiple-LP method
 //! (`SseSolver::solve`, the oracle). Game setups are shared with
 //! `bench_throughput.rs` through `sag_bench::setup`.
+//!
+//! The `forecast` group times the two forecast costs a tenant pays on the
+//! serving path: the arrival-model fit when a day opens, and the coverage
+//! rate ρ of every type on every alert.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sag_bench::setup;
 use sag_core::signaling::ossp_closed_form;
 use sag_core::sse::{SolverBackendKind, SseSolver};
+use sag_forecast::{expected_inverse_positive, ArrivalModel, FutureAlertEstimator};
+use sag_scenarios::find_scenario;
 use sag_sim::AlertTypeId;
 use std::hint::black_box;
 
@@ -106,5 +112,41 @@ fn per_alert_optimization(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, per_alert_optimization);
+fn forecast(c: &mut Criterion) {
+    let mut group = c.benchmark_group("forecast");
+    let scenario = find_scenario("paper-baseline").expect("paper-baseline is registered");
+    let config = scenario.engine_config();
+    let num_types = config.game.num_types();
+    let history_days = scenario.history_days();
+    let mut days = scenario.generate_days(7, history_days + 1);
+    let day = days.pop().expect("one test day");
+
+    group.bench_function(format!("fit_{history_days}_days"), |b| {
+        b.iter(|| ArrivalModel::fit_weighted(black_box(&days), num_types, config.forecast_decay));
+    });
+
+    // The λ every served solve turns into a rate: each type's estimate at
+    // each alert of the test day.
+    let model = ArrivalModel::fit_weighted(&days, num_types, config.forecast_decay);
+    let mut estimator = FutureAlertEstimator::new(model, config.rollback);
+    let mut trace = Vec::with_capacity(day.len() * num_types);
+    let mut estimates = Vec::new();
+    for alert in day.alerts() {
+        estimator.estimate_all_into(alert.time, &mut estimates);
+        trace.extend_from_slice(&estimates);
+        estimator.observe_alert(alert.time);
+    }
+    group.bench_function("coverage_rates", |b| {
+        b.iter(|| {
+            black_box(&trace)
+                .iter()
+                .map(|&lambda| expected_inverse_positive(lambda))
+                .sum::<f64>()
+        });
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, per_alert_optimization, forecast);
 criterion_main!(benches);

@@ -33,5 +33,5 @@ pub mod rollback;
 
 pub use arrival::ArrivalModel;
 pub use estimator::FutureAlertEstimator;
-pub use poisson::{expected_inverse_positive, poisson_cdf, poisson_pmf};
+pub use poisson::{expected_inverse_positive, poisson_pmf};
 pub use rollback::RollbackPolicy;
